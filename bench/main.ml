@@ -8,7 +8,7 @@
    Scale factor:        HYPERQ_SF=0.02 dune exec bench/main.exe -- fig9a
 
    Experiment ids: table1 fig2 fig8a fig8b baseline table2 fig9a fig9b
-   targets ablation cache resilience telemetry analyze exec parallel
+   targets ablation cache resilience telemetry analyze exec dml parallel
    serving rules micro *)
 
 open Hyperq_sqlvalue
@@ -1234,6 +1234,124 @@ let parallel_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* DML: UPDATE ... FROM scaling on the batch executor                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [UPDATE T SET V = S.W FROM S WHERE T.K = S.K] in the engine, for target
+   tables of 10k/20k/40k rows and FROM tables of 25/250/2,500 rows; every
+   target row matches exactly one FROM row. The batch path probes a hash
+   table built over the FROM rows, so the time per target row must stay
+   within 2x while the FROM side grows 100x (the row oracle's nested loop
+   grows with it). Best of 5 per cell. The row oracle also runs the
+   smallest cell once, and both must leave the same table behind. *)
+let dml_bench () =
+  hr "DML: UPDATE ... FROM on the batch executor (hash probe)";
+  let iters = 5 and gate = 2.0 in
+  let target_sizes = [ 10_000; 20_000; 40_000 ]
+  and from_sizes = [ 25; 250; 2_500 ] in
+  let setup n m =
+    let be = Backend.create () in
+    ignore (Backend.execute_sql be "CREATE TABLE T (ID INTEGER, K INTEGER, V INTEGER)");
+    ignore (Backend.execute_sql be "CREATE TABLE S (K INTEGER, W INTEGER)");
+    let int i = Value.Int (Int64.of_int i) in
+    ignore
+      (Hyperq_engine.Storage.insert be.Backend.storage "T"
+         (List.init n (fun i -> [| int i; int (i mod m); Value.Null |])));
+    ignore
+      (Hyperq_engine.Storage.insert be.Backend.storage "S"
+         (List.init m (fun k -> [| int k; int (k * 7) |])));
+    be
+  in
+  let sql = "UPDATE T SET V = S.W FROM S WHERE T.K = S.K" in
+  let contents be =
+    List.sort compare
+      (List.map
+         (fun (r : Value.t array) -> Array.to_list (Array.map Value.to_sql_literal r))
+         (Backend.execute_sql be "SELECT * FROM T").Backend.res_rows)
+  in
+  let run be =
+    let t0 = Unix.gettimeofday () in
+    let r = Backend.execute_sql be sql in
+    (Unix.gettimeofday () -. t0, r.Backend.res_rowcount)
+  in
+  (* the row oracle on the smallest cell *)
+  let n0 = List.hd target_sizes and m0 = List.hd from_sizes in
+  let row_be = setup n0 m0 and batch_be = setup n0 m0 in
+  row_be.Backend.exec_mode <- Backend.Row;
+  batch_be.Backend.exec_mode <- Backend.Batch;
+  let row_s, _ = run row_be in
+  ignore (run batch_be);
+  let agree = contents row_be = contents batch_be in
+  Printf.printf "row oracle at %d x %d: %.2f ms; batch result %s\n\n" n0 m0
+    (row_s *. 1000.)
+    (if agree then "identical" else "DIFFERS");
+  Printf.printf "  %8s %8s %10s %14s\n" "target" "from" "best ms" "us/target row";
+  let wrong_counts = ref 0 in
+  let cells =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun m ->
+            let be = setup n m in
+            be.Backend.exec_mode <- Backend.Batch;
+            let best = ref infinity in
+            for _ = 1 to iters do
+              let dt, count = run be in
+              if count <> n then incr wrong_counts;
+              if dt < !best then best := dt
+            done;
+            let per_row_us = !best *. 1e6 /. float_of_int n in
+            Printf.printf "  %8d %8d %10.2f %14.3f\n" n m (!best *. 1000.) per_row_us;
+            (n, m, !best, per_row_us))
+          from_sizes)
+      target_sizes
+  in
+  let per_row n m =
+    List.find_map
+      (fun (n', m', _, us) -> if n' = n && m' = m then Some us else None)
+      cells
+    |> Option.get
+  in
+  let m_lo = List.hd from_sizes
+  and m_hi = List.nth from_sizes (List.length from_sizes - 1) in
+  let growth = List.map (fun n -> (n, per_row n m_hi /. per_row n m_lo)) target_sizes in
+  let max_growth = List.fold_left (fun a (_, g) -> Float.max a g) 0. growth in
+  List.iter
+    (fun (n, g) ->
+      Printf.printf "  %d target rows: time per row x%.2f from %d to %d FROM rows\n" n
+        g m_lo m_hi)
+    growth;
+  let pass = agree && !wrong_counts = 0 && max_growth <= gate in
+  write_json "BENCH_dml.json"
+    (Printf.sprintf
+       "{\"experiment\": \"dml\", \"statement\": \"%s\", \"iters\": %d, \
+        \"cores\": %d, \"row_oracle\": {\"target_rows\": %d, \"from_rows\": %d, \
+        \"row_s\": %.6f, \"batch_agrees\": %b}, \"cells\": [%s], \
+        \"growth\": [%s], \"max_growth\": %.3f, \"gate\": %.1f, \"pass\": %b}"
+       sql iters
+       (Domain.recommended_domain_count ())
+       n0 m0 row_s agree
+       (String.concat ", "
+          (List.map
+             (fun (n, m, s, us) ->
+               Printf.sprintf
+                 "{\"target_rows\": %d, \"from_rows\": %d, \"batch_s\": %.6f, \
+                  \"us_per_target_row\": %.4f}"
+                 n m s us)
+             cells))
+       (String.concat ", "
+          (List.map
+             (fun (n, g) -> Printf.sprintf "{\"target_rows\": %d, \"ratio\": %.3f}" n g)
+             growth))
+       max_growth gate pass);
+  if not pass then begin
+    Printf.eprintf
+      "dml: gate failed (row/batch agree %b, wrong counts %d, max growth %.2fx > %.1fx)\n"
+      agree !wrong_counts max_growth gate;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Serving: the TCP front door under load (real sockets)                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1647,6 +1765,7 @@ let experiments =
     ("telemetry", telemetry);
     ("analyze", analyze);
     ("exec", exec_bench);
+    ("dml", dml_bench);
     ("parallel", parallel_bench);
     ("serving", serving);
     ("rules", rules_bench);

@@ -68,6 +68,11 @@ type rel_props = {
   card_max : int option;
 }
 
+(* Row-count bound arithmetic on non-negative counts; [None] (no bound)
+   where the exact result would overflow [max_int]. *)
+let card_mul a b = if a = 0 || b <= max_int / a then Some (a * b) else None
+let card_add a b = if a <= max_int - b then Some (a + b) else None
+
 (** Over-approximated three-valued truth of a predicate. *)
 type truth = { can_true : bool; can_false : bool; can_null : bool }
 
@@ -852,12 +857,23 @@ and infer_rel (cx : ctx) (outer : props Imap.t) (r : Xtra.rel) : rel_props =
         in
         lk @ rk
       in
+      (* matched pairs, plus the unmatched rows an outer join keeps:
+         a*b + a (left), a*b + b (right), a*b + a + b (full) *)
       let card_max =
         match card_pred with
         | Some 0 -> Some 0
         | _ -> (
             match (lp.card_max, rp.card_max) with
-            | Some a, Some b when a * b >= 0 -> Some (a * b)
+            | Some a, Some b -> (
+                let ( let* ) = Option.bind in
+                let* pairs = card_mul a b in
+                match kind with
+                | Xtra.Inner | Xtra.Cross -> Some pairs
+                | Xtra.Left_outer -> card_add pairs a
+                | Xtra.Right_outer -> card_add pairs b
+                | Xtra.Full_outer ->
+                    let* pa = card_add pairs a in
+                    card_add pa b)
             | Some 0, _ when kind = Xtra.Inner || kind = Xtra.Cross -> Some 0
             | _, Some 0 when kind = Xtra.Inner || kind = Xtra.Cross -> Some 0
             | _ -> None)
@@ -978,7 +994,7 @@ and infer_rel (cx : ctx) (outer : props Imap.t) (r : Xtra.rel) : rel_props =
         match op with
         | Xtra.Union -> (
             match (lp.card_max, rp.card_max) with
-            | Some a, Some b -> Some (a + b)
+            | Some a, Some b -> card_add a b
             | _ -> None)
         | Xtra.Intersect | Xtra.Except -> lp.card_max
       in

@@ -864,14 +864,16 @@ let rec run_ast_statement cc (ast : Ast.statement) : Backend.result =
       let bind_t0 = now t in
       let bctx = Binder.create_ctx ~dialect:Dialect.Teradata t.vcatalog in
       (* the pre-substitution bound form is what the plan cache stores, so a
-         parameterized statement hits under different bindings *)
-      let bound0 =
-        timed Bind cc (fun () -> Binder.bind_statement bctx ast)
+         parameterized statement hits under different bindings; binding and
+         parameter substitution are one Bind observation *)
+      let bind_s = ref 0. in
+      let bound0, bound =
+        timed Bind cc (fun () ->
+            let bound0 = Binder.bind_statement bctx ast in
+            bind_s := now t -. bind_t0;
+            (bound0, substitute_params cc.params bound0))
       in
-      let bind_s = now t -. bind_t0 in
-      let bound =
-        timed Bind cc (fun () -> substitute_params cc.params bound0)
-      in
+      let bind_s = !bind_s in
       cc.binder_features <- bctx.Binder.features @ cc.binder_features;
       (match ast with
       | Ast.S_begin_transaction -> cc.session.Session.in_transaction <- true

@@ -14,8 +14,9 @@ type t = {
   mutable session_user : string;
   mutable queries_executed : int;
   mutable exec_mode : exec_mode;
-      (** which executor runs [Query] statements; DML always uses the row
-          path. Defaults to [Batch] unless [HYPERQ_EXEC_MODE=row] is set. *)
+      (** which executor runs queries, DML sources and UPDATE/DELETE
+          predicates; [Row] is the reference oracle. Defaults to [Batch]
+          unless [HYPERQ_EXEC_MODE=row] is set. *)
   mutable exec_domains : int;
       (** intra-statement parallelism budget for the vectorized executor
           (morsel-driven execution on OCaml domains). Defaults to

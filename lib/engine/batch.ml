@@ -141,11 +141,13 @@ let get b c i =
 (* The [i]-th physical row. A batch still backed by its source window hands
    out the ORIGINAL row by pointer — no transposition, no copy — exactly as
    the row-path operators share storage rows. Callers must not mutate it.
-   Only operator-output batches built from bare vectors re-materialize. *)
+   Operator-output batches built from bare vectors, and source-backed
+   batches widened by [append_cols], re-materialize. *)
 let to_row b i =
   match b.src with
-  | Some s -> s.src_rows.(s.src_lo + i)
-  | None -> Array.init (Array.length b.cols) (fun c -> get b c i)
+  | Some s when Array.length s.src_rows.(s.src_lo + i) = Array.length b.cols ->
+      s.src_rows.(s.src_lo + i)
+  | _ -> Array.init (Array.length b.cols) (fun c -> get b c i)
 
 (* View over rows [lo, lo+n) of [rows]; nothing is copied until a column is
    touched. [unbox] marks columns wanted as flat unboxed vectors. *)
@@ -160,6 +162,13 @@ let of_rows ?unbox (tys : Dtype.t array) (rows : Value.t array array) lo n =
     sel = None;
     nsel = 0;
   }
+
+(* [b] widened by [extra], one boxed vector of [b.nrows] cells per
+   appended column: [b]'s rows side by side with rows gathered from another
+   input, without building the combined rows. [b]'s own columns still
+   transpose lazily out of its source. *)
+let append_cols b (extra : Value.t array array) =
+  { b with cols = Array.append b.cols (Array.map (fun a -> V_any a) extra) }
 
 (* A batch whose vectors are already materialized (operator outputs). *)
 let of_cols cols ~nrows ~sel ~nsel = { cols; src = None; nrows; sel; nsel }

@@ -1471,7 +1471,20 @@ and compile_node ctx (r : Xtra.rel) : op =
           (Executor.set_op_rows op all
              (drain (compile ctx left))
              (drain (compile ctx right))))
-  | Xtra.Values_rel _ | Xtra.Cte_ref _ | Xtra.With_cte _ -> row_fallback ctx r
+  | Xtra.Values_rel { rows; values_schema } ->
+      (* a VALUES leaf: every cell is a compiled scalar, evaluated once in
+         row order (cells that reference an enclosing row, parameters or
+         subqueries take the scalar fallback) *)
+      let cells =
+        List.map (List.map (compile_scalar ctx (Hashtbl.create 1))) rows
+      in
+      let unit_batch = Batch.of_rows [||] [| [||] |] 0 1 in
+      op_of_lazy_rows "materialized" values_schema
+        (lazy
+          (List.map
+             (fun fs -> Array.of_list (List.map (fun f -> f unit_batch 0) fs))
+             cells))
+  | Xtra.Cte_ref _ | Xtra.With_cte _ -> row_fallback ctx r
 
 and compile_get ctx (r : Xtra.rel) ?unbox () : op =
   match r with

@@ -6,8 +6,9 @@
    bit-identical to sequential). Plus targeted unit tests for the semantic
    corners the batch path must preserve: NULL join keys never match while
    GROUP BY coalesces NULLs, [compare_with_key] totality over NaN and mixed
-   Int/Decimal keys, and the Morsel domain-pool scheduler itself (barrier,
-   exception propagation, pool survival, counters). *)
+   Int/Decimal keys, the Morsel domain-pool scheduler itself (barrier,
+   exception propagation, pool survival, counters), and batch DML against
+   the row DML oracle. *)
 
 open Hyperq_sqlvalue
 module Pipeline = Hyperq_core.Pipeline
@@ -208,6 +209,236 @@ let test_compare_with_key_int_vs_decimal () =
   check ib "desc flips" 1
     (Executor.compare_with_key kd (Value.Int 1L) (Value.Int 2L))
 
+(* --- batch DML against the row oracle ------------------------------------
+
+   Each case runs its statements on a fresh pipeline three times — row
+   DML (the reference), batch DML at 1 and at 2 domains — and compares the
+   affected-row count (or error text) of every statement and the final
+   contents of every table. [Td] statements go through the Teradata
+   pipeline (MERGE and SET-table INSERT are emulated there); [Engine]
+   statements go to the engine's own ANSI front end, which keeps
+   DELETE ... FROM (the pipeline rewrites it into EXISTS). *)
+
+type dml_stmt = Td of string | Engine of string
+
+let dml_setup =
+  [
+    "CREATE TABLE TGT (ID INTEGER NOT NULL, K INTEGER, KD DECIMAL(8,2), \
+     V VARCHAR(10), W INTEGER)";
+    "CREATE TABLE SRC (K INTEGER, KD DECIMAL(8,2), V VARCHAR(10), W INTEGER)";
+    "CREATE SET TABLE STT (K INTEGER, V VARCHAR(10))";
+    "INSERT INTO TGT VALUES (1, 1, 1.00, 't1', 10)";
+    "INSERT INTO TGT VALUES (2, 2, 2.50, 't2', 20)";
+    "INSERT INTO TGT VALUES (3, NULL, NULL, 't3', 30)";
+    "INSERT INTO TGT VALUES (4, 3, 3.00, 't4', 40)";
+    "INSERT INTO TGT VALUES (5, 1, 1.00, 't5', 50)";
+    "INSERT INTO TGT VALUES (6, 9, 9.00, 't6', 60)";
+    (* two FROM rows match K = 1: 'a' comes first and must win *)
+    "INSERT INTO SRC VALUES (1, 1.00, 'a', 15)";
+    "INSERT INTO SRC VALUES (1, 1.00, 'b', 5)";
+    "INSERT INTO SRC VALUES (2, 2.50, 'c', 25)";
+    "INSERT INTO SRC VALUES (NULL, NULL, 'n', 0)";
+    "INSERT INTO SRC VALUES (3, 3.00, 'd', 45)";
+    "INSERT INTO SRC VALUES (4, 4.00, 'e', 100)";
+  ]
+
+(* 4,096 rows (two full 2,048-row windows), K = ID mod 7 *)
+let big_setup =
+  Td "CREATE TABLE BIG (ID INTEGER, K INTEGER, V VARCHAR(10))"
+  :: Td "INSERT INTO BIG VALUES (1, 1, 'b')"
+  :: List.init 12 (fun _ ->
+         Td
+           "INSERT INTO BIG SELECT B.ID + M.MX, (B.ID + M.MX) MOD 7, 'b' \
+            FROM BIG AS B, (SELECT MAX(ID) FROM BIG) AS M (MX)")
+
+let dml_tables = [ "TGT"; "SRC"; "STT"; "BIG" ]
+
+let dml_outcome mode domains stmts =
+  let p = Pipeline.create () in
+  p.Pipeline.backend.Backend.exec_mode <- mode;
+  Pipeline.set_exec_domains p domains;
+  List.iter (fun sql -> ignore (Pipeline.run_sql p sql)) dml_setup;
+  let counts =
+    List.map
+      (fun st ->
+        match
+          Sql_error.protect (fun () ->
+              match st with
+              | Td sql -> (Pipeline.run_sql p sql).Pipeline.out_count
+              | Engine sql ->
+                  (Backend.execute_sql p.Pipeline.backend sql)
+                    .Backend.res_rowcount)
+        with
+        | Ok n -> string_of_int n
+        | Error e -> "error: " ^ Sql_error.to_string e)
+      stmts
+  in
+  let contents =
+    List.map
+      (fun tbl ->
+        match
+          Sql_error.protect (fun () ->
+              lit (Pipeline.run_sql p ("SELECT * FROM " ^ tbl)).Pipeline.out_rows)
+        with
+        | Ok rows -> (tbl, List.sort compare rows)
+        | Error _ -> (tbl, []))
+      dml_tables
+  in
+  (counts, contents)
+
+let show_contents contents =
+  String.concat "; "
+    (List.map
+       (fun (tbl, rows) ->
+         tbl ^ ": "
+         ^ String.concat " | " (List.map (String.concat ", ") rows))
+       contents)
+
+(* Runs the case on all three configurations; returns the oracle's result
+   so a case can also pin down what the right answer is. *)
+let dml_case name stmts =
+  let ((rcounts, rcontents) as oracle) = dml_outcome Backend.Row 1 stmts in
+  List.iter
+    (fun d ->
+      let counts, contents = dml_outcome Backend.Batch d stmts in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: counts batch@%d = row" name d)
+        rcounts counts;
+      Alcotest.(check string)
+        (Printf.sprintf "%s: tables batch@%d = row" name d)
+        (show_contents rcontents) (show_contents contents))
+    [ 1; 2 ];
+  oracle
+
+let row_of contents tbl id =
+  List.find
+    (fun r -> List.hd r = id)
+    (List.assoc tbl contents)
+
+let test_dml_update_from_first_match () =
+  let counts, contents =
+    dml_case "first match"
+      [ Td "UPDATE TGT FROM SRC SET V = SRC.V, W = TGT.W + SRC.W \
+            WHERE TGT.K = SRC.K" ]
+  in
+  Alcotest.(check (list string)) "rows updated" [ "4" ] counts;
+  Alcotest.(check (list string)) "first FROM row wins" [ "1"; "1"; "1.00"; "'a'"; "25" ]
+    (row_of contents "TGT" "1")
+
+let test_dml_update_from_null_keys () =
+  ignore
+    (dml_case "null keys"
+       [
+         Td "UPDATE TGT FROM SRC SET V = SRC.V WHERE TGT.KD = SRC.KD";
+         Td "UPDATE TGT FROM SRC SET W = SRC.W WHERE TGT.K = SRC.K AND TGT.KD = SRC.KD";
+       ])
+
+let test_dml_update_from_int_decimal () =
+  let counts, _ =
+    dml_case "int vs decimal keys"
+      [
+        Td "UPDATE TGT FROM SRC SET V = SRC.V WHERE TGT.K = SRC.KD";
+        (* DECIMAL against FLOAT: equal values hash differently, so the
+           batch path must not probe a hash table here *)
+        Engine "CREATE TABLE FL (F FLOAT, V VARCHAR(10))";
+        Engine "INSERT INTO FL VALUES (2.5, 'f'), (1.0, 'g')";
+        Engine "UPDATE TGT SET W = 0 FROM FL WHERE TGT.KD = FL.F";
+      ]
+  in
+  (* 1 = 1.00 and 3 = 3.00 match across types, 2 <> 2.50; then 2.50 = 2.5
+     and 1.00 = 1.0 (twice) *)
+  Alcotest.(check (list string)) "rows updated" [ "3"; "0"; "2"; "3" ] counts
+
+let test_dml_update_from_residual () =
+  ignore
+    (dml_case "equi + residual"
+       [
+         Td "UPDATE TGT FROM SRC SET V = SRC.V WHERE TGT.K = SRC.K AND SRC.W > TGT.W";
+         Td "UPDATE TGT FROM SRC SET W = SRC.W WHERE SRC.W < TGT.W + 10 AND SRC.KD = TGT.KD";
+       ])
+
+let test_dml_update_from_scan () =
+  ignore
+    (dml_case "non-equi and OR"
+       [
+         Td "UPDATE TGT FROM SRC SET V = SRC.V WHERE TGT.W < SRC.W";
+         Td "UPDATE TGT FROM SRC SET W = SRC.W WHERE TGT.K = SRC.K OR TGT.W = SRC.W";
+         Td "UPDATE TGT FROM SRC SET V = 'x' WHERE TGT.K + 1 = SRC.K";
+       ])
+
+let test_dml_delete () =
+  ignore
+    (dml_case "delete"
+       [
+         Engine "DELETE FROM TGT FROM SRC WHERE TGT.K = SRC.K AND SRC.W > 10";
+         Engine "DELETE FROM SRC FROM TGT WHERE SRC.W > TGT.W";
+         Td "DELETE FROM TGT WHERE W > 55";
+         Td "DELETE TGT FROM SRC WHERE TGT.KD = SRC.KD";
+       ])
+
+let test_dml_update_no_from () =
+  ignore
+    (dml_case "update without FROM"
+       [
+         Td "UPDATE TGT SET W = W * 2, V = V || 'u' WHERE K IS NOT NULL";
+         Td "UPDATE TGT SET KD = KD / 2";
+       ])
+
+let test_dml_merge () =
+  let counts, _ =
+    dml_case "merge"
+      [
+        Td "MERGE INTO TGT USING (SELECT W / 10, V FROM SRC WHERE K IS NOT NULL) \
+            AS S (ID, V) ON TGT.ID = S.ID \
+            WHEN MATCHED THEN UPDATE SET V = S.V \
+            WHEN NOT MATCHED THEN INSERT (ID, K, KD, V, W) VALUES (S.ID, S.ID, NULL, S.V, 0)";
+      ]
+  in
+  (* source ids 1, 0, 2, 4, 10: three rows updated plus two inserted *)
+  Alcotest.(check (list string)) "merge count" [ "5" ] counts
+
+let test_dml_insert_select () =
+  ignore
+    (dml_case "insert select"
+       [
+         Td "INSERT INTO STT SELECT K, 'x' FROM SRC";
+         Td "INSERT INTO STT SELECT K, 'x' FROM SRC";
+         Td "INSERT INTO STT SELECT K, V FROM TGT WHERE W > 20";
+         Engine "CREATE SET TABLE EST (K BIGINT)";
+         Engine "INSERT INTO EST SELECT T.K FROM SRC AS T";
+         Td "INSERT INTO TGT SELECT K + 10, K, KD, V, W FROM SRC WHERE K IS NOT NULL";
+         Td "CREATE TABLE CTA AS (SELECT K, SUM(W) AS S FROM SRC GROUP BY K) WITH DATA";
+       ])
+
+let test_dml_not_null () =
+  let counts, contents =
+    dml_case "not null"
+      [
+        Td "INSERT INTO TGT (ID, K) SELECT K, W FROM SRC";
+        Td "INSERT INTO TGT (ID, K) SELECT W, K FROM SRC WHERE K IS NULL";
+      ]
+  in
+  Alcotest.(check (list string)) "error text; then success"
+    [ "error: execution error: column ID of TGT is NOT NULL"; "1" ]
+    counts;
+  (* the failed statement left TGT untouched: 6 rows + the second insert *)
+  check ib "TGT rows" 7 (List.length (List.assoc "TGT" contents))
+
+let test_dml_windows () =
+  let counts, _ =
+    dml_case "multi-window target"
+      (big_setup
+      @ [
+          Td "UPDATE BIG FROM SRC SET V = SRC.V WHERE BIG.K = SRC.K";
+          Td "UPDATE BIG SET K = K + 1 WHERE ID MOD 3 = 0";
+          Td "DELETE FROM BIG WHERE K = 4";
+          Td "DELETE BIG FROM SRC WHERE BIG.K = SRC.K AND SRC.V = 'c'";
+        ])
+  in
+  let loaded = List.filteri (fun i _ -> i < List.length big_setup) counts in
+  check ib "BIG loaded" 4096
+    (List.fold_left (fun acc c -> acc + int_of_string c) 0 loaded)
+
 (* --- batch executor bookkeeping ---------------------------------------- *)
 
 let test_batch_counters_move () =
@@ -328,6 +559,17 @@ let suite =
     ( "compare_with_key: Int vs Decimal",
       `Quick,
       test_compare_with_key_int_vs_decimal );
+    ("dml: UPDATE FROM first match wins", `Quick, test_dml_update_from_first_match);
+    ("dml: UPDATE FROM NULL keys", `Quick, test_dml_update_from_null_keys);
+    ("dml: UPDATE FROM INTEGER vs DECIMAL keys", `Quick, test_dml_update_from_int_decimal);
+    ("dml: UPDATE FROM equi + residual", `Quick, test_dml_update_from_residual);
+    ("dml: UPDATE FROM non-equi and OR", `Quick, test_dml_update_from_scan);
+    ("dml: DELETE with and without FROM", `Quick, test_dml_delete);
+    ("dml: UPDATE without FROM", `Quick, test_dml_update_no_from);
+    ("dml: MERGE through emulation", `Quick, test_dml_merge);
+    ("dml: INSERT SELECT and SET tables", `Quick, test_dml_insert_select);
+    ("dml: NOT NULL violation", `Quick, test_dml_not_null);
+    ("dml: multi-window target", `Quick, test_dml_windows);
     ("batch counters move", `Quick, test_batch_counters_move);
     ( "parallel determinism under exec debug",
       `Slow,

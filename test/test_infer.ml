@@ -196,7 +196,42 @@ let test_rel_cardinality () =
   let vp = Infer.rel_props values in
   check bb "VALUES card bound" true (vp.Infer.card_max = Some 3);
   let ep = Infer.rel_props (Xtra.Values_rel { rows = []; values_schema = schema_t }) in
-  check bb "empty VALUES card 0" true (ep.Infer.card_max = Some 0)
+  check bb "empty VALUES card 0" true (ep.Infer.card_max = Some 0);
+  (* joins: matched pairs plus the unmatched rows an outer join keeps *)
+  let vals id n =
+    Xtra.Values_rel
+      { rows = List.init n (fun i -> [ ci i ]); values_schema = [ col id "V" Dtype.Int ] }
+  in
+  let card kind l r =
+    (Infer.rel_props (Xtra.Join { kind; left = l; right = r; pred = None })).Infer.card_max
+  in
+  let oc = Alcotest.(option int) in
+  (* a 1-row left input outer-joined with an empty one yields 1 row *)
+  check oc "LEFT OUTER 1 x 0" (Some 1) (card Xtra.Left_outer (vals 30 1) (vals 31 0));
+  check oc "RIGHT OUTER 0 x 1" (Some 1) (card Xtra.Right_outer (vals 30 0) (vals 31 1));
+  check oc "LEFT OUTER 2 x 3" (Some 8) (card Xtra.Left_outer (vals 30 2) (vals 31 3));
+  check oc "RIGHT OUTER 2 x 3" (Some 9) (card Xtra.Right_outer (vals 30 2) (vals 31 3));
+  check oc "FULL OUTER 2 x 3" (Some 11) (card Xtra.Full_outer (vals 30 2) (vals 31 3));
+  check oc "INNER 2 x 3" (Some 6) (card Xtra.Inner (vals 30 2) (vals 31 3));
+  check oc "INNER 0 x unbounded" (Some 0) (card Xtra.Inner (vals 30 0) get_t);
+  (* bounds whose product or sum leaves the int range are dropped, not
+     wrapped *)
+  let huge id =
+    Xtra.Limit
+      {
+        input = Xtra.Get { table = "T"; table_schema = [ col id "A" Dtype.Int ]; alias = "T" };
+        count = Some (Xtra.Const (Value.Int (Int64.of_int max_int)));
+        offset = None;
+        with_ties = false;
+        percent = false;
+      }
+  in
+  check oc "product overflow" None (card Xtra.Inner (huge 40) (huge 41));
+  check oc "outer sum overflow" None (card Xtra.Left_outer (huge 40) (vals 31 1));
+  check oc "UNION sum overflow" None
+    (Infer.rel_props
+       (Xtra.Set_operation { op = Xtra.Union; all = true; left = huge 40; right = huge 41 }))
+      .Infer.card_max
 
 let test_filter_refinement () =
   (* WHERE A > 5 narrows A's interval and makes it not-null downstream *)
@@ -316,6 +351,62 @@ let test_pipeline_catalog_pruning () =
   ignore (Pipeline.run_sql off "CREATE TABLE TI (A INTEGER NOT NULL, B INTEGER)");
   let raw = Pipeline.translate off "SELECT A FROM TI WHERE A > 5 AND A < 3" in
   check bb "infer:false leaves filter" false (contains raw "1 = 0")
+
+(* Every derived-column list "AS alias (c1, c2, ...)" in [sql]. *)
+let derived_column_lists sql =
+  let n = String.length sql in
+  let rec scan i acc =
+    match String.index_from_opt sql i '(' with
+    | None -> List.rev acc
+    | Some j ->
+        (* "... AS T1 (": the word before the paren follows an AS *)
+        let k = ref (j - 1) in
+        while !k >= 0 && sql.[!k] = ' ' do decr k done;
+        let e = !k in
+        while !k >= 0 && sql.[!k] <> ' ' do decr k done;
+        let word_start = !k + 1 in
+        let after_as =
+          word_start >= 4 && e >= word_start
+          && String.sub sql (word_start - 4) 4 = " AS "
+        in
+        let close = try String.index_from sql j ')' with Not_found -> n - 1 in
+        if after_as then
+          let inner = String.sub sql (j + 1) (close - j - 1) in
+          scan (j + 1)
+            (List.map String.trim (String.split_on_char ',' inner) :: acc)
+        else scan (j + 1) acc
+  in
+  scan 0 []
+
+let test_pruned_join_column_names () =
+  List.iter
+    (fun (cap : Capability.t) ->
+      let p = Pipeline.create ~cap () in
+      ignore (Pipeline.run_sql p "CREATE TABLE A (ID INTEGER)");
+      ignore (Pipeline.run_sql p "CREATE TABLE B (ID INTEGER)");
+      let sql =
+        Pipeline.translate p "SELECT * FROM A, B WHERE A.ID = 1 AND A.ID = 2"
+      in
+      let name = cap.Capability.name in
+      check bb (name ^ ": pruned to VALUES") true (contains sql "VALUES");
+      let lists = derived_column_lists sql in
+      check bb (name ^ ": has a derived column list") true (lists <> []);
+      List.iter
+        (fun cols ->
+          check ib
+            (Printf.sprintf "%s: unique names in (%s)" name
+               (String.concat ", " cols))
+            (List.length cols)
+            (List.length (List.sort_uniq compare cols)))
+        lists)
+    Capability.all_targets;
+  (* and the pruned statement still runs, returning no rows *)
+  let p = Pipeline.create () in
+  ignore (Pipeline.run_sql p "CREATE TABLE A (ID INTEGER)");
+  ignore (Pipeline.run_sql p "CREATE TABLE B (ID INTEGER)");
+  let o = Pipeline.run_sql p "SELECT * FROM A, B WHERE A.ID = 1 AND A.ID = 2" in
+  check ib "pruned join runs empty" 0 o.Pipeline.out_count;
+  check ib "both ID columns answered" 2 (List.length o.Pipeline.out_schema)
 
 let test_pipeline_join_strengthening () =
   let p = Pipeline.create () in
@@ -543,6 +634,8 @@ let suite =
       test_pipeline_catalog_pruning;
     Alcotest.test_case "pipeline: join strengthening" `Quick
       test_pipeline_join_strengthening;
+    Alcotest.test_case "pruned join: unique derived column names" `Quick
+      test_pruned_join_column_names;
     Alcotest.test_case "soundness: legit packs accepted" `Quick
       test_soundness_accepts_legit;
     Alcotest.test_case "soundness: broken pack R112" `Quick

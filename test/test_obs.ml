@@ -337,6 +337,25 @@ let test_scale_out_exposition () =
   has text "hyperq_pipeline_stage_seconds_bucket{replica=\"0\"";
   has text "hyperq_pipeline_stage_seconds_bucket{replica=\"1\""
 
+(* One observation per stage per query: a cache-missing statement binds and
+   substitutes parameters under a single Bind observation. *)
+let test_bind_observed_once () =
+  let obs = Obs.create () in
+  let p = Pipeline.create ~obs () in
+  ignore (Hyperq_workload.Tpch.setup ~sf:0.001 p);
+  Obs.reset obs;
+  List.iter
+    (fun (_, sql) -> ignore (Pipeline.run_sql p sql))
+    Hyperq_workload.Tpch_queries.all;
+  let count stage =
+    (Obs.histogram_snapshot
+       p.Pipeline.tel.Pipeline.stage_hists.(Pipeline.stage_index stage))
+      .Obs.hs_count
+  in
+  check ib "22 queries" 22 (List.length Hyperq_workload.Tpch_queries.all);
+  check ib "22 bind observations" 22 (count Pipeline.Bind);
+  check ib "22 parse observations" 22 (count Pipeline.Parse)
+
 let suite =
   [
     Alcotest.test_case "histogram: bucket edges" `Quick
@@ -357,4 +376,6 @@ let suite =
     Alcotest.test_case "pipeline + gateway exposition" `Quick
       test_pipeline_exposition;
     Alcotest.test_case "scale-out exposition" `Quick test_scale_out_exposition;
+    Alcotest.test_case "bind observed once per query" `Quick
+      test_bind_observed_once;
   ]
