@@ -15,7 +15,7 @@ open Hyperq_sqlvalue
 module Pipeline = Hyperq_core.Pipeline
 module Session = Hyperq_core.Session
 module Obs = Hyperq_obs.Obs
-module FT = Hyperq_core.Feature_tracker
+module FT = Hyperq_analyze.Feature_tracker
 module Capability = Hyperq_transform.Capability
 module Customer = Hyperq_workload.Customer
 module Tpch = Hyperq_workload.Tpch

@@ -1,15 +1,16 @@
 (** Offline workload compatibility analyzer (paper §2.1, Figure 2).
 
     Scans a SQL script without executing anything: each statement is parsed,
-    fingerprinted with {!Feature_tracker} signals, bound against a virtual
-    catalog maintained from the script's own DDL, and joined against every
-    {!Capability.t} profile to classify how Hyper-Q would serve it on that
-    target:
+    fingerprinted with {!Feature_tracker} signals, bound once through the
+    compile step ({!Compiler}) against a virtual catalog maintained from the
+    script's own DDL, and routed and lowered for every {!Capability.t}
+    profile to classify how Hyper-Q would serve it on that target:
 
     - [Direct]: passes through with at most syntactic re-rendering;
     - [Rewrite]: needs binder/transformer rewrites (single statement out);
     - [Emulate]: needs the multi-statement/stateful middle tier (§6);
-    - [Unsupported]: cannot be served (parse/bind failure).
+    - [Unsupported]: cannot be served (parse/bind/lowering failure, or
+      recursion the target lacks below the top of a query).
 
     On top of the classification it runs the {!Validator} over every bound
     plan (and over each target's transformed plan) and a set of lint rules
@@ -22,11 +23,8 @@ module Dialect = Hyperq_sqlparser.Dialect
 module Parser = Hyperq_sqlparser.Parser
 module Xtra = Hyperq_xtra.Xtra
 module Catalog = Hyperq_catalog.Catalog
-module Binder = Hyperq_binder.Binder
 module Builtins = Hyperq_binder.Builtins
-module Transformer = Hyperq_transform.Transformer
 module Capability = Hyperq_transform.Capability
-module Serializer = Hyperq_serialize.Serializer
 
 type support = Direct | Rewrite | Emulate | Unsupported
 
@@ -91,6 +89,8 @@ let feature_native (cap : Capability.t) feature =
     | "ordinal_group_by" | "ordinal_order_by" -> cap.Capability.ordinal_group_by
     | "casespecific_columns" | "case_insensitive_compare" ->
         cap.Capability.case_insensitive_collation
+    | "updatable_view_ddl" | "dml_on_views" -> cap.Capability.updatable_views
+    | "stored_procedures" -> cap.Capability.stored_procedures
     | _ -> false
 
 let normalize_features signals =
@@ -218,292 +218,79 @@ let lint_bound ~span ~catalog add (bound : Xtra.statement) =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Virtual catalog maintenance from the script's own DDL                *)
-(* ------------------------------------------------------------------ *)
-
-let catalog_column_of_ast (c : Ast.column_def) : Catalog.column =
-  {
-    Catalog.col_name = String.uppercase_ascii c.Ast.col_name;
-    col_type = Binder.dtype_of_typename c.Ast.col_type;
-    col_not_null = c.Ast.col_not_null;
-    col_default = c.Ast.col_default;
-    col_case_specific = c.Ast.col_case_specific;
-  }
-
-let apply_ddl catalog (ast : Ast.statement) (bound : Xtra.statement) =
-  match (ast, bound) with
-  | Ast.S_create_table { columns; kind; _ }, Xtra.Create_table { ct_name; _ } ->
-      Catalog.replace_table catalog
-        {
-          Catalog.tbl_name = ct_name;
-          tbl_columns = List.map catalog_column_of_ast columns;
-          tbl_set_semantics =
-            (match kind with
-            | Ast.Persistent { set_semantics } -> set_semantics
-            | _ -> false);
-          tbl_temporary =
-            (match kind with Ast.Persistent _ -> false | _ -> true);
-        }
-  | _, Xtra.Create_table_as { cta_name; cta_source; cta_persistence; _ } ->
-      Catalog.replace_table catalog
-        {
-          Catalog.tbl_name = cta_name;
-          tbl_columns =
-            List.map
-              (fun (c : Xtra.col) ->
-                {
-                  Catalog.col_name = c.Xtra.name;
-                  col_type =
-                    (match c.Xtra.ty with
-                    | Dtype.Unknown -> Dtype.varchar ()
-                    | ty -> ty);
-                  col_not_null = false;
-                  col_default = None;
-                  col_case_specific = true;
-                })
-              (Xtra.schema_of cta_source);
-          tbl_set_semantics = false;
-          tbl_temporary = cta_persistence = Xtra.Tp_temporary;
-        }
-  | _, Xtra.Drop_table { dt_name; _ } ->
-      Catalog.drop_table catalog ~if_exists:true dt_name
-  | _, Xtra.Rename_table { rn_from; rn_to } ->
-      Catalog.rename_table catalog ~from_name:rn_from ~to_name:rn_to
-  | _ -> ()
-
-let last_name (q : string list) = List.nth q (List.length q - 1)
-
-(* ------------------------------------------------------------------ *)
 (* Per-statement analysis                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Statements the middle tier owns outright: classify per target without
-   binding, but keep the analyzer's catalog in sync so later statements
-   resolve (views/macros/procedures defined by the script itself). *)
-let static_class catalog ~dialect (ast : Ast.statement) :
-    ((Capability.t -> support) * string list) option =
-  let if_native f = fun (cap : Capability.t) -> if f cap then Direct else Emulate in
-  match ast with
-  | Ast.S_create_macro { name; params; body; replace } ->
-      Catalog.add_macro catalog ~replace
-        {
-          Catalog.macro_name = last_name name;
-          macro_params =
-            List.map (fun (n, ty) -> (n, Binder.dtype_of_typename ty)) params;
-          macro_body = body;
-        };
-      Some (if_native (fun c -> c.Capability.macros), [ "macros" ])
-  | Ast.S_drop_macro { name; if_exists } ->
-      Catalog.drop_macro catalog ~if_exists (last_name name);
-      Some (if_native (fun c -> c.Capability.macros), [ "macros" ])
-  | Ast.S_exec_macro { name; _ } ->
-      if Catalog.find_macro catalog (last_name name) = None then
-        Some ((fun _ -> Unsupported), [ "macros" ])
-      else Some (if_native (fun c -> c.Capability.macros), [ "macros" ])
-  | Ast.S_create_view { name; columns; query; replace } -> (
-      match
-        Sql_error.protect (fun () ->
-            (* validate the definition by binding it before storing *)
-            let bctx = Binder.create_ctx ~dialect catalog in
-            ignore (Binder.bind_statement bctx (Ast.S_select query)))
-      with
-      | Error _ -> Some ((fun _ -> Unsupported), [ "updatable_view_ddl" ])
-      | Ok () ->
-          Catalog.add_view catalog ~replace
-            {
-              Catalog.view_name = last_name name;
-              view_columns = columns;
-              view_query = query;
-              view_dialect = dialect;
-            };
-          Some
-            ( if_native (fun c -> c.Capability.updatable_views),
-              [ "updatable_view_ddl" ] ))
-  | Ast.S_drop_view { name; if_exists } ->
-      Catalog.drop_view catalog ~if_exists (last_name name);
-      Some
-        ( if_native (fun c -> c.Capability.updatable_views),
-          [ "updatable_view_ddl" ] )
-  | Ast.S_create_procedure { name; params; body; replace } ->
-      Catalog.add_procedure catalog ~replace
-        {
-          Catalog.proc_name = last_name name;
-          proc_params =
-            List.map (fun (n, ty) -> (n, Binder.dtype_of_typename ty)) params;
-          proc_body = body;
-        };
-      Some (if_native (fun c -> c.Capability.stored_procedures), [])
-  | Ast.S_drop_procedure { name; if_exists } ->
-      Catalog.drop_procedure catalog ~if_exists (last_name name);
-      Some (if_native (fun c -> c.Capability.stored_procedures), [])
-  | Ast.S_call { name; _ } ->
-      if Catalog.find_procedure catalog (last_name name) = None then
-        Some ((fun _ -> Unsupported), [])
-      else Some (if_native (fun c -> c.Capability.stored_procedures), [])
-  | Ast.S_update { table; _ } | Ast.S_delete { table; _ }
-  | Ast.S_insert { table; _ }
-    when Catalog.find_view catalog (last_name table) <> None ->
-      (* the pipeline routes DML through views to the emulation layer
-         before binding; mirror that dispatch here *)
-      Some
-        ( if_native (fun c -> c.Capability.updatable_views),
-          [ "dml_on_views" ] )
-  | Ast.S_help _ -> Some ((fun _ -> Emulate), [ "help_commands" ])
-  | Ast.S_show _ -> Some ((fun _ -> Emulate), [ "show_commands" ])
-  | Ast.S_set_session _ -> Some ((fun _ -> Emulate), [ "set_session" ])
-  | Ast.S_explain _ -> Some ((fun _ -> Emulate), [])
-  | _ -> None
-
-(* Mirror of the pipeline's emulation dispatch for bound statements. *)
-let emulation_need catalog (bound : Xtra.statement) :
-    (string * (Capability.t -> bool)) option =
-  let has_recursive_cte st =
-    let found = ref false in
-    let scan rel =
-      ignore
-        (Xtra.fold_rel
-           (fun () r ->
-             match r with
-             | Xtra.With_cte { cte_recursive = true; _ } -> found := true
-             | _ -> ())
-           () rel)
-    in
-    (match st with
-    | Xtra.Query r -> scan r
-    | Xtra.Insert { source; _ } -> scan source
-    | Xtra.Create_table_as { cta_source; _ } -> scan cta_source
-    | _ -> ());
-    !found
-  in
-  match bound with
-  | Xtra.Merge _ -> Some ("merge", fun c -> c.Capability.merge_stmt)
-  | Xtra.Insert { target; _ }
-    when match Catalog.find_table catalog target with
-         | Some tbl -> tbl.Catalog.tbl_set_semantics
-         | None -> false ->
-      Some ("set_tables", fun c -> c.Capability.set_tables)
-  | st when has_recursive_cte st ->
-      Some ("recursive_query", fun c -> c.Capability.recursive_cte)
-  | _ -> None
-
-let classify_bound ~counter_base cap bound ~bfeatures ~lexical =
-  match
-    let counter = ref counter_base in
-    Transformer.transform ~cap ~counter bound
-  with
-  | exception Sql_error.Error e -> (
-      match e.Sql_error.kind with
-      | Sql_error.Capability_gap -> (Emulate, [], None, [])
-      | _ -> (Unsupported, [], None, []))
-  | transformed, applied -> (
-      let rules = List.map fst applied in
-      match Serializer.serialize ~cap transformed with
-      | exception Sql_error.Error e -> (
-          match e.Sql_error.kind with
-          | Sql_error.Capability_gap -> (Emulate, rules, Some transformed, [])
-          | _ -> (Unsupported, rules, Some transformed, []))
-      | _sql ->
-          let needs_rewrite =
-            rules <> [] || lexical <> []
-            || List.exists (fun f -> not (feature_native cap f)) bfeatures
-          in
-          ( (if needs_rewrite then Rewrite else Direct),
-            rules,
-            Some transformed,
-            Validator.validate transformed ))
-
-let analyze_statement ~dialect ~targets catalog index (l : Parser.located) :
+(* The statement is bound once through the compile step and lowered once
+   per target, exactly as the pipeline would route it there. A route maps
+   onto the report's classes through [feature_native]: middle-tier DDL the
+   pipeline keeps virtual is [Direct] on a target that has the feature. *)
+let analyze_statement ~dialect ~targets ~rel_rules catalog index (l : Parser.located) :
     stmt_report =
   let span = (l.Parser.loc_start, l.Parser.loc_stop) in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let ast = l.Parser.loc_stmt in
-  let kind = Ast.statement_kind ast in
   lint ~span add ast;
   let lexical = Feature_tracker.scan_sql_text l.Parser.loc_text in
-  let finish ?(rules = []) support_by_target signals =
-    {
-      sr_index = index;
-      sr_kind = kind;
-      sr_span = span;
-      sr_features = normalize_features (lexical @ signals);
-      sr_support = support_by_target;
-      sr_rules = rules;
-      sr_diags = Diag.sort (List.rev !diags);
-    }
+  let env cap = Compiler.env ~dialect ~catalog ~cap ~scalar_rules:[] ~rel_rules in
+  (* the bound plan does not depend on the target; routes are per target *)
+  let c = Compiler.bind (env Capability.teradata) ast in
+  (match (c.Compiler.route, c.Compiler.bound, c.Compiler.emulation) with
+  | Compiler.Unsupported e, None, None ->
+      add (Diag.make ~span ~code:"A002" "%s" (Sql_error.to_string e))
+  | _, Some bound, _ ->
+      List.iter (fun d -> add { d with Diag.span = Some span }) (Validator.validate bound);
+      if List.mem "date_int_comparison" c.Compiler.features then
+        add
+          (Diag.make ~severity:Diag.Warning ~span ~code:"L003"
+             "DATE/INT comparison relies on Teradata's integer date encoding; \
+              rewritten via the \xc2\xa75.2 arithmetic");
+      lint_bound ~span ~catalog add bound
+  | _ -> ());
+  let per_target =
+    List.map
+      (fun (cap : Capability.t) ->
+        let ct = Compiler.retarget (env cap) c in
+        let cls, rules =
+          match (ct.Compiler.route, ct.Compiler.lowered) with
+          | Compiler.Target, Some lw ->
+              List.iter
+                (fun d ->
+                  add
+                    {
+                      d with
+                      Diag.span = Some span;
+                      message = Printf.sprintf "[%s] %s" cap.Capability.name d.Diag.message;
+                    })
+                (Validator.validate lw.Compiler.transformed);
+              let rules = lw.Compiler.fired in
+              ( (if
+                   rules <> [] || lexical <> []
+                   || List.exists (fun f -> not (feature_native cap f)) c.Compiler.features
+                 then Rewrite
+                 else Direct),
+                rules )
+          | Compiler.Emulate e, _ ->
+              ((if feature_native cap (Compiler.tag e) then Direct else Emulate), [])
+          | _ -> (Unsupported, [])
+        in
+        ((cap.Capability.name, cls), (cap.Capability.name, rules)))
+      targets
   in
-  match static_class catalog ~dialect ast with
-  | Some (class_of_cap, tags) ->
-      finish
-        (List.map
-           (fun (cap : Capability.t) -> (cap.Capability.name, class_of_cap cap))
-           targets)
-        tags
-  | None -> (
-      let bctx = Binder.create_ctx ~dialect catalog in
-      match Sql_error.protect (fun () -> Binder.bind_statement bctx ast) with
-      | Error e ->
-          let code, cls =
-            match e.Sql_error.kind with
-            | Sql_error.Capability_gap -> ("A003", Emulate)
-            | _ -> ("A002", Unsupported)
-          in
-          let severity =
-            if cls = Emulate then Diag.Info else Diag.Error
-          in
-          add (Diag.make ~severity ~span ~code "%s" (Sql_error.to_string e));
-          let tags =
-            if cls = Emulate then [ "dml_on_views" ] else []
-          in
-          finish
-            (List.map
-               (fun (cap : Capability.t) -> (cap.Capability.name, cls))
-               targets)
-            tags
-      | Ok bound ->
-          let bfeatures = bctx.Binder.features in
-          List.iter
-            (fun d -> add { d with Diag.span = Some span })
-            (Validator.validate bound);
-          if List.mem "date_int_comparison" bfeatures then
-            add
-              (Diag.make ~severity:Diag.Warning ~span ~code:"L003"
-                 "DATE/INT comparison relies on Teradata's integer date \
-                  encoding; rewritten via the \xc2\xa75.2 arithmetic");
-          lint_bound ~span ~catalog add bound;
-          let emu = emulation_need catalog bound in
-          let per_target =
-            List.map
-              (fun (cap : Capability.t) ->
-                match emu with
-                | Some (tag, native) when not (native cap) ->
-                    ((cap.Capability.name, Emulate), (cap.Capability.name, [ tag ]))
-                | _ ->
-                    let cls, rules, _transformed, vdiags =
-                      classify_bound ~counter_base:1_000_000 cap bound
-                        ~bfeatures ~lexical
-                    in
-                    List.iter
-                      (fun d ->
-                        add
-                          {
-                            d with
-                            Diag.span = Some span;
-                            message =
-                              Printf.sprintf "[%s] %s" cap.Capability.name
-                                d.Diag.message;
-                          })
-                      vdiags;
-                    ((cap.Capability.name, cls), (cap.Capability.name, rules)))
-              targets
-          in
-          apply_ddl catalog ast bound;
-          let emu_tags = match emu with Some (tag, _) -> [ tag ] | None -> [] in
-          finish
-            ~rules:
-              (List.filter (fun (_, rs) -> rs <> []) (List.map snd per_target))
-            (List.map fst per_target)
-            (bfeatures @ emu_tags))
+  Compiler.track catalog c;
+  {
+    sr_index = index;
+    sr_kind = Ast.statement_kind ast;
+    sr_span = span;
+    sr_features =
+      normalize_features
+        (lexical @ c.Compiler.features
+        @ Option.to_list (Option.map Compiler.tag c.Compiler.emulation));
+    sr_support = List.map fst per_target;
+    sr_rules = List.filter (fun (_, rs) -> rs <> []) (List.map snd per_target);
+    sr_diags = Diag.sort (List.rev !diags);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Script-level entry point                                             *)
@@ -529,11 +316,12 @@ let analyze_script ?(dialect = Dialect.Teradata) ?(targets = default_targets)
           ];
       }
   | Ok located ->
+      let rel_rules = Infer.rel_passes ~catalog () in
       {
         rep_script = script_name;
         rep_targets = targets;
         rep_statements =
-          List.mapi (analyze_statement ~dialect ~targets catalog) located;
+          List.mapi (analyze_statement ~dialect ~targets ~rel_rules catalog) located;
         rep_script_diags = [];
       }
 
@@ -776,14 +564,11 @@ let props_json ?(dialect = Dialect.Teradata) ?catalog ~script_name sql =
           let ast = l.Parser.loc_stmt in
           pr "{%s:%d,%s:%s," (str "index") i (str "kind")
             (str (Ast.statement_kind ast));
-          (match
-             let bctx = Binder.create_ctx ~dialect catalog in
-             Sql_error.protect (fun () -> Binder.bind_statement bctx ast)
-           with
+          (match Sql_error.protect (fun () -> Compiler.algebrize ~dialect catalog ast) with
           | Error e -> pr "%s:%s" (str "bind_error") (str (Sql_error.to_string e))
-          | Ok bound ->
+          | Ok (bound, _) ->
               pr "%s" (bound_json bound);
-              apply_ddl catalog ast bound);
+              Compiler.apply_effects catalog ast (Some bound));
           pr "}")
         located;
       pr "]}");

@@ -7,7 +7,7 @@
     duplicate-free, set operations agree in arity and type, predicates are
     boolean, aggregate/window placeholders never escape the binder, and CTE
     references point at a visible definition of the right arity. It runs
-    after {!Hyperq_binder.Binder.bind_statement} and (behind a pipeline
+    after binding ({!Compiler.compile}) and (behind a pipeline
     flag) after each fixed-point pass of the transformer, where a fresh
     violation is attributed to the rewrite rule(s) that fired in that pass.
 

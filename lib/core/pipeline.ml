@@ -3,8 +3,8 @@
     One statement flows: parse (source dialect) → bind/algebrize → transform
     (fixed point, capability-gated) → serialize (target dialect) →
     ODBC Server → backend engine → TDF → Result Converter → WP-A records.
-    Statements the backend cannot run in one request are routed to
-    {!Emulation}.
+    Parse-to-serialize is the one compile step ({!Hyperq_analyze.Compiler});
+    statements it routes to the middle tier run through {!Emulation}.
 
     The pipeline owns the *virtual* catalog (the Teradata-side schema,
     including views, macros, SET-semantics and PERIOD columns) and keeps it
@@ -16,14 +16,14 @@ open Hyperq_sqlvalue
 open Hyperq_sqlparser
 module Xtra = Hyperq_xtra.Xtra
 module Catalog = Hyperq_catalog.Catalog
-module Binder = Hyperq_binder.Binder
 module Capability = Hyperq_transform.Capability
 module Transformer = Hyperq_transform.Transformer
-module Serializer = Hyperq_serialize.Serializer
 module Backend = Hyperq_engine.Backend
 module Tdf = Hyperq_tdf.Tdf
 module Obs = Hyperq_obs.Obs
 module Validator = Hyperq_analyze.Validator
+module Compiler = Hyperq_analyze.Compiler
+module Feature_tracker = Hyperq_analyze.Feature_tracker
 module Diag = Hyperq_analyze.Diag
 module Infer = Hyperq_analyze.Infer
 module Rules_dsl = Hyperq_rules.Dsl
@@ -147,6 +147,7 @@ type outcome = {
   out_observation : Feature_tracker.observation;
   out_timings : timings;
   out_emulation_trace : string list;
+  out_route : Compiler.route;
 }
 
 let error_kind_label kind =
@@ -351,8 +352,8 @@ type call_ctx = {
   mutable nested : bool;
       (** true once the emulation layer re-enters the pipeline for inner
           statements; suppresses plan-cache capture for those *)
-  mutable last_no_op : bool;
-      (** the last {!run_bound} transformed its statement away entirely *)
+  mutable route : Compiler.route;  (** the route the statement took *)
+  mutable bind_s : float;  (** time spent in the Bind stage *)
   mutable cache_candidate : Plan_cache.entry option;
       (** translation captured on the plain path, ready to be cached *)
   mutable parse_s : float;
@@ -398,7 +399,8 @@ let make_cc ?(tracer = Obs.no_tracer) ?rules_active t session params =
     transformer_rules = [];
     emulation_tags = [];
     nested = false;
-    last_no_op = false;
+    route = Compiler.Target;
+    bind_s = 0.;
     cache_candidate = None;
     parse_s = 0.;
     deadline_at = Option.map (fun d -> deadline_start +. d) deadline_s;
@@ -422,6 +424,7 @@ let timed stage cc f =
   Fun.protect
     ~finally:(fun () ->
       let dt = now t -. t0 in
+      if stage = Bind then cc.bind_s <- cc.bind_s +. dt;
       (match stage_bucket stage with
       | `Translate -> cc.timing.translate_s <- cc.timing.translate_s +. dt
       | `Execute -> cc.timing.execute_s <- cc.timing.execute_s +. dt
@@ -433,86 +436,6 @@ let timed stage cc f =
 let note_tag cc tag =
   if not (List.mem tag cc.emulation_tags) then
     cc.emulation_tags <- tag :: cc.emulation_tags
-
-(* Bind positional parameter markers (?) to values; parameters are numbered
-   left to right, 1-based (paper §4.5: the ODBC Server supports
-   "parameterized queries"). *)
-let substitute_params params st =
-  match params with
-  | [] -> st
-  | params ->
-      let arr = Array.of_list params in
-      Xtra.rewrite_statement
-        ~frel:(fun r -> r)
-        ~fscalar:(fun s ->
-          match s with
-          | Xtra.Param n ->
-              if n < 1 || n > Array.length arr then
-                Sql_error.bind_error
-                  "parameter $%d has no bound value (%d supplied)" n
-                  (Array.length arr)
-              else Xtra.Const arr.(n - 1)
-          | s -> s)
-        st
-
-(* --- virtual catalog maintenance -------------------------------------- *)
-
-let vcatalog_column_of_ast (c : Ast.column_def) : Catalog.column =
-  {
-    Catalog.col_name = String.uppercase_ascii c.Ast.col_name;
-    col_type = Binder.dtype_of_typename c.Ast.col_type;
-    col_not_null = c.Ast.col_not_null;
-    col_default = c.Ast.col_default;
-    col_case_specific = c.Ast.col_case_specific;
-  }
-
-let sync_ddl cc (ast : Ast.statement) (bound : Xtra.statement) =
-  let t = cc.pipeline in
-  match (ast, bound) with
-  | Ast.S_create_table { columns; kind; _ }, Xtra.Create_table { ct_name; _ } ->
-      Catalog.add_table t.vcatalog
-        {
-          Catalog.tbl_name = ct_name;
-          tbl_columns = List.map vcatalog_column_of_ast columns;
-          tbl_set_semantics =
-            (match kind with
-            | Ast.Persistent { set_semantics } -> set_semantics
-            | _ -> false);
-          tbl_temporary = (match kind with Ast.Persistent _ -> false | _ -> true);
-        };
-      if (match kind with Ast.Persistent _ -> false | _ -> true) then
-        Session.register_volatile cc.session ct_name
-  | _, Xtra.Create_table_as { cta_name; cta_source; cta_persistence; _ } ->
-      Catalog.add_table t.vcatalog
-        {
-          Catalog.tbl_name = cta_name;
-          tbl_columns =
-            List.map
-              (fun (c : Xtra.col) ->
-                {
-                  Catalog.col_name = c.Xtra.name;
-                  col_type =
-                    (match c.Xtra.ty with
-                    | Dtype.Unknown -> Dtype.varchar ()
-                    | ty -> ty);
-                  col_not_null = false;
-                  col_default = None;
-                  col_case_specific = true;
-                })
-              (Xtra.schema_of cta_source);
-          tbl_set_semantics = false;
-          tbl_temporary = cta_persistence = Xtra.Tp_temporary;
-        };
-      if cta_persistence = Xtra.Tp_temporary then
-        Session.register_volatile cc.session cta_name
-  | _, Xtra.Drop_table { dt_name; dt_if_exists } ->
-      Catalog.drop_table t.vcatalog ~if_exists:dt_if_exists dt_name;
-      Session.unregister_volatile cc.session dt_name
-  | _, Xtra.Rename_table { rn_from; rn_to } ->
-      Catalog.rename_table t.vcatalog ~from_name:rn_from ~to_name:rn_to
-  | _ -> ()
-
-(* --- the bound-statement path ----------------------------------------- *)
 
 (* --- plan validation (lib/analyze wired into the hot path) ------------- *)
 
@@ -573,44 +496,147 @@ let submit_backend cc ~sql =
         ~finally:(fun () -> Mutex.unlock t.lock)
         (fun () -> Odbc_server.submit t.odbc ~sql))
 
-let run_bound cc (bound : Xtra.statement) : Backend.result =
-  let t = cc.pipeline in
-  if t.validate then record_validation t ~phase:"bind" ~rules:[] bound;
-  let counter = ref 1_000_000 in
-  (* transformer ids must not collide with binder ids; the binder counter is
-     per-statement so a high floor is simplest *)
-  let on_pass =
-    if t.validate then
-      Some
-        (fun i rules st' ->
-          record_validation t
-            ~phase:(Printf.sprintf "transform pass %d" i)
-            ~rules st')
-    else None
-  in
-  let transformed, applied =
-    timed Transform cc (fun () ->
-        Transformer.transform ?on_pass
-          ~extra_scalar_rules:cc.rules_active.Rules_registry.act_scalar
-          ~extra_rel_rules:
-            (cc.rules_active.Rules_registry.act_rel @ t.infer_rel_rules)
-          ~cap:t.cap ~counter bound)
-  in
-  cc.transformer_rules <-
-    List.map fst applied @ cc.transformer_rules;
-  let sql =
-    timed Serialize cc (fun () -> Serializer.serialize ~cap:t.cap transformed)
-  in
-  cc.sql_sent <- sql :: cc.sql_sent;
-  match transformed with
-  | Xtra.No_op _ ->
-      cc.last_no_op <- true;
-      { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "OK" }
-  | _ ->
-      cc.last_no_op <- false;
-      timed Execute cc (fun () -> submit_backend cc ~sql)
+let validator t = if t.validate then Some (record_validation t) else None
 
-(* --- emulation dispatch ------------------------------------------------ *)
+let compile_stage = function
+  | Compiler.Bind -> Bind
+  | Compiler.Transform -> Transform
+  | Compiler.Serialize -> Serialize
+
+(* The compile env of one call: the pipeline's catalog and target, the
+   statement's active rule set plus the inference passes, stage metering
+   into this call's timings and trace, and the validator when enabled. *)
+let compile_env cc =
+  let t = cc.pipeline in
+  {
+    Compiler.dialect = Dialect.Teradata;
+    catalog = t.vcatalog;
+    cap = t.cap;
+    scalar_rules = cc.rules_active.Rules_registry.act_scalar;
+    rel_rules = cc.rules_active.Rules_registry.act_rel @ t.infer_rel_rules;
+    params = cc.params;
+    time = (fun stage f -> timed (compile_stage stage) cc f);
+    validate = validator t;
+  }
+
+let ok_result msg =
+  { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = msg }
+
+(* Send one lowered statement to the backend; a statement transformed away
+   entirely is answered here. *)
+let run_lowered cc (l : Compiler.lowered) : Backend.result =
+  cc.transformer_rules <- l.Compiler.fired @ cc.transformer_rules;
+  cc.sql_sent <- l.Compiler.sql :: cc.sql_sent;
+  match l.Compiler.transformed with
+  | Xtra.No_op _ -> ok_result "OK"
+  | _ -> timed Execute cc (fun () -> submit_backend cc ~sql:l.Compiler.sql)
+
+(* The catalog effects of a statement that ran, plus the session's
+   volatile-table bookkeeping on top of them. *)
+let sync_catalog cc (c : Compiler.t) =
+  Compiler.apply_effects cc.pipeline.vcatalog c.Compiler.ast c.Compiler.bound;
+  match c.Compiler.bound with
+  | Some (Xtra.Create_table { ct_name = name; persistence = Xtra.Tp_temporary; _ })
+  | Some (Xtra.Create_table_as { cta_name = name; cta_persistence = Xtra.Tp_temporary; _ }) ->
+      Session.register_volatile cc.session name
+  | Some (Xtra.Drop_table { dt_name; _ }) -> Session.unregister_volatile cc.session dt_name
+  | _ -> ()
+
+(* The plan-cache entry for a compiled statement: only queries and DML
+   served by one target statement, which leave the catalog and the session
+   untouched, are memoized. *)
+let cache_entry (c : Compiler.t) ~bind_s ~translate_s =
+  match (c.Compiler.route, c.Compiler.bound, c.Compiler.lowered) with
+  | ( Compiler.Target,
+      Some
+        ((Xtra.Query _ | Xtra.Insert _ | Xtra.Update _ | Xtra.Delete _ | Xtra.Merge _) as bound),
+      Some l ) ->
+      let has_params = Plan_cache.bound_has_params bound in
+      Some
+        {
+          Plan_cache.e_bound = bound;
+          e_has_params = has_params;
+          e_binder_features = c.Compiler.features;
+          e_rules = l.Compiler.fired;
+          e_plan =
+            (if has_params then None
+             else
+               Some
+                 {
+                   Plan_cache.p_target_sql = l.Compiler.sql;
+                   p_no_op =
+                     (match l.Compiler.transformed with Xtra.No_op _ -> true | _ -> false);
+                 });
+          e_bind_s = bind_s;
+          e_translate_s = translate_s;
+        }
+  | _ -> None
+
+(* EXPLAIN is answered by the virtualization layer: the plan and the SQL
+   the same compile step sends to the target. *)
+let explain_lines cap (c : Compiler.t) =
+  let kind = Ast.statement_kind c.Compiler.ast in
+  match (c.Compiler.route, c.Compiler.lowered) with
+  | Compiler.Target, Some l ->
+      (("Hyper-Q plan for " ^ kind)
+       :: List.filter (fun s -> s <> "")
+            (String.split_on_char '\n'
+               (Hyperq_xtra.Xtra_pp.statement_to_string l.Compiler.transformed)))
+      @ (if l.Compiler.fired = [] then []
+         else [ "transformations applied: " ^ String.concat ", " l.Compiler.fired ])
+      @ [ "target SQL (" ^ cap.Capability.name ^ "): " ^ l.Compiler.sql ]
+  | Compiler.Unsupported e, _ ->
+      [
+        "Hyper-Q plan for " ^ kind;
+        "not supported on " ^ cap.Capability.name ^ ": " ^ Sql_error.to_string e;
+      ]
+  | _ ->
+      [
+        kind ^ " is handled by the Hyper-Q emulation layer";
+        "no single target statement exists for it";
+      ]
+
+let set_session cc name v =
+  let value =
+    match v with
+    | Ast.E_lit (Ast.L_string s) -> s
+    | Ast.E_lit (Ast.L_int n) -> Int64.to_string n
+    | Ast.E_lit (Ast.L_decimal d) -> d
+    | Ast.E_lit (Ast.L_float f) -> string_of_float f
+    | Ast.E_column [ c ] -> c
+    | _ -> Sql_error.unsupported "SET SESSION expects a literal value"
+  in
+  Session.set_setting cc.session name value;
+  (* QUERY_DEADLINE <seconds> caps backend retries per statement for this
+     session; OFF/NONE restores the pipeline policy's default *)
+  (if String.uppercase_ascii name = "QUERY_DEADLINE" then
+     match String.uppercase_ascii value with
+     | "OFF" | "NONE" -> cc.session.Session.deadline_s <- None
+     | v -> (
+         match float_of_string_opt v with
+         | Some d when d > 0. -> cc.session.Session.deadline_s <- Some d
+         | _ -> Sql_error.unsupported "SET SESSION QUERY_DEADLINE expects seconds or OFF"));
+  (* RULE_PACKS 'a,b' layers loaded rewrite-rule packs onto this session
+     (after the gateway defaults); OFF/NONE clears the session layer *)
+  (if String.uppercase_ascii name = "RULE_PACKS" then
+     match String.uppercase_ascii value with
+     | "OFF" | "NONE" | "" -> cc.session.Session.rule_packs <- []
+     | _ ->
+         let packs =
+           List.filter (fun s -> s <> "") (List.map String.trim (String.split_on_char ',' value))
+         in
+         List.iter
+           (fun p ->
+             if Rules_registry.find cc.pipeline.rules p = None then
+               Sql_error.unsupported
+                 "rule pack %s is not loaded (load it with 'hyperq rules load' or \
+                  \\rules load first)"
+                 p)
+           packs;
+         cc.session.Session.rule_packs <- packs);
+  ok_result "SET SESSION"
+
+(* --- dispatch on the route ---------------------------------------------- *)
 
 let make_runner cc run_ast =
   {
@@ -624,7 +650,7 @@ let make_runner cc run_ast =
     run_xtra =
       (fun st ->
         cc.nested <- true;
-        run_bound cc st);
+        run_lowered cc (Compiler.lower (compile_env cc) st));
     fresh_name = (fun prefix -> fresh_name cc.pipeline prefix);
     trace = cc.trace;
     span =
@@ -632,167 +658,57 @@ let make_runner cc run_ast =
         Obs.with_span cc.pipeline.tel.obs cc.tracer ("emulate:" ^ name) f);
   }
 
-(* detect a top-level recursive CTE in a bound statement *)
-let recursive_parts = function
-  | Xtra.Query
-      (Xtra.With_cte
-         {
-           ctes = [ (name, Xtra.Set_operation { op = Xtra.Union; all = true; left; right }) ];
-           cte_recursive = true;
-           body;
-         }) ->
-      Some (name, left, right, body)
-  | _ -> None
+(* ids of plan nodes the emulation layer builds; above binder and
+   transformer ids *)
+let fresh_ids () =
+  let c = ref 2_000_000 in
+  fun () ->
+    incr c;
+    !c
 
-(* Decide whether a bound statement may be memoized in the plan cache: only
-   plain queries / DML that take the direct [run_bound] path and leave the
-   virtual catalog (and session state) untouched. DDL, transaction control
-   and anything the emulation layer owns (unsupported recursion, MERGE, SET
-   tables) is excluded. *)
-let cacheable_bound ~cap vcatalog (bound : Xtra.statement) =
-  match bound with
-  | Xtra.Query _ -> (
-      match recursive_parts bound with
-      | Some _ -> cap.Capability.recursive_cte
-      | None -> true)
-  | Xtra.Insert { target; _ } ->
-      cap.Capability.set_tables
-      || (match Catalog.find_table vcatalog target with
-         | Some tbl -> not tbl.Catalog.tbl_set_semantics
-         | None -> true)
-  | Xtra.Update _ | Xtra.Delete _ -> true
-  | Xtra.Merge _ -> cap.Capability.merge_stmt
-  | _ -> false
+let run_target cc (c : Compiler.t) l =
+  (match c.Compiler.ast with
+  | Ast.S_begin_transaction -> cc.session.Session.in_transaction <- true
+  | Ast.S_commit | Ast.S_rollback -> cc.session.Session.in_transaction <- false
+  | _ -> ());
+  let r = run_lowered cc l in
+  sync_catalog cc c;
+  if not cc.nested then
+    cc.cache_candidate <-
+      cache_entry c ~bind_s:(cc.parse_s +. cc.bind_s) ~translate_s:cc.timing.translate_s;
+  r
 
 let rec run_ast_statement cc (ast : Ast.statement) : Backend.result =
+  let c = Compiler.compile (compile_env cc) ast in
+  if not cc.nested then cc.route <- c.Compiler.route;
+  cc.binder_features <- c.Compiler.features @ cc.binder_features;
+  match (c.Compiler.route, c.Compiler.lowered) with
+  | Compiler.Target, Some l -> run_target cc c l
+  | Compiler.Emulate e, _ ->
+      note_tag cc (Compiler.tag e);
+      emulate cc c e
+  | Compiler.Unsupported e, _ -> raise (Sql_error.Error e)
+  | Compiler.Target, None -> Sql_error.internal_error "target route without a lowering"
+
+and emulate cc (c : Compiler.t) e : Backend.result =
   let t = cc.pipeline in
   let runner = make_runner cc (fun a -> run_ast_statement cc a) in
-  match ast with
-  (* ---- features that never reach the backend as-is ------------------- *)
-  | Ast.S_exec_macro { name; args } ->
-      note_tag cc "macros";
-      Emulation.exec_macro runner name args
-  | Ast.S_create_macro { name; params; body; replace } ->
-      note_tag cc "macros";
-      let mname = List.nth name (List.length name - 1) in
-      timed Bind cc (fun () ->
-          Catalog.add_macro t.vcatalog ~replace
-            {
-              Catalog.macro_name = mname;
-              macro_params =
-                List.map (fun (n, ty) -> (n, Binder.dtype_of_typename ty)) params;
-              macro_body = body;
-            });
-      { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "CREATE MACRO" }
-  | Ast.S_drop_macro { name; if_exists } ->
-      note_tag cc "macros";
-      Catalog.drop_macro t.vcatalog ~if_exists (List.nth name (List.length name - 1));
-      { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "DROP MACRO" }
-  | Ast.S_create_view { name; columns; query; replace } ->
-      note_tag cc "updatable_view_ddl";
-      let vname = List.nth name (List.length name - 1) in
-      (* validate the definition by binding it before storing *)
-      timed Bind cc (fun () ->
-          let bctx = Binder.create_ctx ~dialect:Dialect.Teradata t.vcatalog in
-          ignore (Binder.bind_statement bctx (Ast.S_select query));
-          Catalog.add_view t.vcatalog ~replace
-            {
-              Catalog.view_name = vname;
-              view_columns = columns;
-              view_query = query;
-              view_dialect = Dialect.Teradata;
-            });
-      { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "CREATE VIEW" }
-  | Ast.S_drop_view { name; if_exists } ->
-      note_tag cc "updatable_view_ddl";
-      Catalog.drop_view t.vcatalog ~if_exists (List.nth name (List.length name - 1));
-      { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "DROP VIEW" }
-  | Ast.S_create_procedure { name; params; body; replace } ->
-      note_tag cc "stored_procedures";
-      let pname = List.nth name (List.length name - 1) in
-      timed Bind cc (fun () ->
-          Catalog.add_procedure t.vcatalog ~replace
-            {
-              Catalog.proc_name = pname;
-              proc_params =
-                List.map (fun (n, ty) -> (n, Binder.dtype_of_typename ty)) params;
-              proc_body = body;
-            });
-      { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "CREATE PROCEDURE" }
-  | Ast.S_drop_procedure { name; if_exists } ->
-      note_tag cc "stored_procedures";
-      Catalog.drop_procedure t.vcatalog ~if_exists
-        (List.nth name (List.length name - 1));
-      { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "DROP PROCEDURE" }
-  | Ast.S_call { name; args } ->
-      note_tag cc "stored_procedures";
+  match (e, c.Compiler.ast, c.Compiler.instance) with
+  | Compiler.Macro, Ast.S_exec_macro { name; args }, _ -> Emulation.exec_macro runner name args
+  | Compiler.Procedure, Ast.S_call { name; args }, _ ->
       Emulation.call_procedure runner name args
-  | Ast.S_explain inner ->
-      (* answered entirely by the virtualization layer: the algebrized plan
-         and the SQL that would be sent to the target *)
-      let lines =
-        timed Transform cc (fun () ->
-            match inner with
-            | Ast.S_exec_macro _ | Ast.S_call _ | Ast.S_help _ | Ast.S_show _
-            | Ast.S_create_macro _ | Ast.S_drop_macro _
-            | Ast.S_create_procedure _ | Ast.S_drop_procedure _
-            | Ast.S_create_view _ | Ast.S_drop_view _ | Ast.S_set_session _
-            | Ast.S_explain _ ->
-                [
-                  Printf.sprintf "%s is handled by the Hyper-Q emulation layer"
-                    (Ast.statement_kind inner);
-                  "no single target statement exists for it";
-                ]
-            | inner -> (
-                let bctx =
-                  Binder.create_ctx ~dialect:Dialect.Teradata t.vcatalog
-                in
-                match
-                  Sql_error.protect (fun () -> Binder.bind_statement bctx inner)
-                with
-                | Error e ->
-                    [ "binding failed: " ^ Sql_error.to_string e ]
-                | Ok bound ->
-                    let counter = ref 1_000_000 in
-                    let transformed, applied =
-                      Transformer.transform ~extra_rel_rules:t.infer_rel_rules
-                        ~cap:t.cap ~counter bound
-                    in
-                    let plan =
-                      String.split_on_char '\n'
-                        (Hyperq_xtra.Xtra_pp.statement_to_string transformed)
-                      |> List.filter (fun l -> l <> "")
-                    in
-                    let rules =
-                      match applied with
-                      | [] -> []
-                      | rs ->
-                          [
-                            "transformations applied: "
-                            ^ String.concat ", " (List.map fst rs);
-                          ]
-                    in
-                    let sql =
-                      match
-                        Sql_error.protect (fun () ->
-                            Serializer.serialize ~cap:t.cap transformed)
-                      with
-                      | Ok s -> [ "target SQL (" ^ t.cap.Capability.name ^ "): " ^ s ]
-                      | Error e ->
-                          [ "serialization requires emulation: " ^ Sql_error.to_string e ]
-                    in
-                    (("Hyper-Q plan for " ^ Ast.statement_kind inner) :: plan)
-                    @ rules @ sql))
-      in
-      {
-        Backend.res_schema = [ ("EXPLANATION", Dtype.varchar ()) ];
-        res_rows = List.map (fun l -> [| Value.Varchar l |]) lines;
-        res_rowcount = List.length lines;
-        res_message = "EXPLAIN";
-      }
-  | Ast.S_help kind ->
-      note_tag cc "help_commands";
-      (match kind with
+  | (Compiler.Macro | Compiler.Procedure | Compiler.View_ddl), ast, _ ->
+      (* virtual DDL: the definition lives in the middle tier only *)
+      sync_catalog cc c;
+      ok_result (Ast.statement_kind ast)
+  | ( Compiler.Dml_on_view,
+      (Ast.S_update { table; _ } | Ast.S_delete { table; _ } | Ast.S_insert { table; _ }),
+      _ ) -> (
+      match Catalog.find_view t.vcatalog (Compiler.last_name table) with
+      | Some view -> Emulation.emulate_dml_on_view runner view c.Compiler.ast
+      | None -> Sql_error.internal_error "view vanished during dispatch")
+  | Compiler.Help, Ast.S_help kind, _ -> (
+      match kind with
       | Ast.Help_session -> Emulation.help_session runner
       | Ast.Help_table name -> Emulation.help_table runner name
       | Ast.Help_view name -> Emulation.help_view runner name
@@ -800,141 +716,29 @@ let rec run_ast_statement cc (ast : Ast.statement) : Backend.result =
       | Ast.Help_procedure name -> Emulation.help_procedure runner name
       | Ast.Help_database name -> Emulation.help_database runner name
       | Ast.Help_volatile_table -> Emulation.help_volatile runner)
-  | Ast.S_show kind ->
-      note_tag cc "show_commands";
-      (match kind with
+  | Compiler.Show, Ast.S_show kind, _ -> (
+      match kind with
       | Ast.Show_table name -> Emulation.show_table runner name
       | Ast.Show_view name -> Emulation.show_view runner name)
-  | Ast.S_set_session (name, v) ->
-      note_tag cc "set_session";
-      let value =
-        match v with
-        | Ast.E_lit (Ast.L_string s) -> s
-        | Ast.E_lit (Ast.L_int n) -> Int64.to_string n
-        | Ast.E_lit (Ast.L_decimal d) -> d
-        | Ast.E_lit (Ast.L_float f) -> string_of_float f
-        | Ast.E_column [ c ] -> c
-        | _ -> Sql_error.unsupported "SET SESSION expects a literal value"
-      in
-      Session.set_setting cc.session name value;
-      (* QUERY_DEADLINE <seconds> caps backend retries per statement for this
-         session; OFF/NONE restores the pipeline policy's default *)
-      (if String.uppercase_ascii name = "QUERY_DEADLINE" then
-         match String.uppercase_ascii value with
-         | "OFF" | "NONE" -> cc.session.Session.deadline_s <- None
-         | v -> (
-             match float_of_string_opt v with
-             | Some d when d > 0. -> cc.session.Session.deadline_s <- Some d
-             | _ ->
-                 Sql_error.unsupported
-                   "SET SESSION QUERY_DEADLINE expects seconds or OFF"));
-      (* RULE_PACKS 'a,b' layers loaded rewrite-rule packs onto this session
-         (after the gateway defaults); OFF/NONE clears the session layer *)
-      (if String.uppercase_ascii name = "RULE_PACKS" then
-         match String.uppercase_ascii value with
-         | "OFF" | "NONE" | "" -> cc.session.Session.rule_packs <- []
-         | _ ->
-             let packs =
-               List.filter
-                 (fun s -> s <> "")
-                 (List.map String.trim (String.split_on_char ',' value))
-             in
-             List.iter
-               (fun p ->
-                 if Rules_registry.find t.rules p = None then
-                   Sql_error.unsupported
-                     "rule pack %s is not loaded (load it with 'hyperq rules \
-                      load' or \\rules load first)"
-                     p)
-               packs;
-             cc.session.Session.rule_packs <- packs);
-      { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "SET SESSION" }
-  (* ---- DML on views --------------------------------------------------- *)
-  | (Ast.S_update { table; _ } | Ast.S_delete { table; _ } | Ast.S_insert { table; _ })
-    when Catalog.find_view t.vcatalog (List.nth table (List.length table - 1)) <> None
-    ->
-      note_tag cc "dml_on_views";
-      let view =
-        Option.get
-          (Catalog.find_view t.vcatalog (List.nth table (List.length table - 1)))
-      in
-      Emulation.emulate_dml_on_view runner view ast
-  (* ---- everything else: bind, then decide ----------------------------- *)
-  | ast ->
-      let bind_t0 = now t in
-      let bctx = Binder.create_ctx ~dialect:Dialect.Teradata t.vcatalog in
-      (* the pre-substitution bound form is what the plan cache stores, so a
-         parameterized statement hits under different bindings; binding and
-         parameter substitution are one Bind observation *)
-      let bind_s = ref 0. in
-      let bound0, bound =
-        timed Bind cc (fun () ->
-            let bound0 = Binder.bind_statement bctx ast in
-            bind_s := now t -. bind_t0;
-            (bound0, substitute_params cc.params bound0))
-      in
-      let bind_s = !bind_s in
-      cc.binder_features <- bctx.Binder.features @ cc.binder_features;
-      (match ast with
-      | Ast.S_begin_transaction -> cc.session.Session.in_transaction <- true
-      | Ast.S_commit | Ast.S_rollback ->
-          cc.session.Session.in_transaction <- false
-      | _ -> ());
-      let fresh_id =
-        let c = ref 2_000_000 in
-        fun () ->
-          incr c;
-          !c
-      in
-      let result =
-        match recursive_parts bound with
-        | Some (name, seed, step, body) when not t.cap.Capability.recursive_cte ->
-            note_tag cc "recursive_query";
-            Emulation.emulate_recursive_query runner ~name ~seed ~step ~body
-        | _ -> (
-            match bound with
-            | Xtra.Merge _ when not t.cap.Capability.merge_stmt ->
-                note_tag cc "merge";
-                Emulation.emulate_merge runner ~fresh_id bound
-            | Xtra.Insert { target; target_cols; source }
-              when (not t.cap.Capability.set_tables)
-                   && (match Catalog.find_table t.vcatalog target with
-                      | Some tbl -> tbl.Catalog.tbl_set_semantics
-                      | None -> false) ->
-                note_tag cc "set_tables";
-                Emulation.emulate_set_table_insert runner ~fresh_id ~target
-                  ~target_cols ~source
-            | bound ->
-                let r = run_bound cc bound in
-                sync_ddl cc ast bound;
-                (if (not cc.nested)
-                    && cacheable_bound ~cap:t.cap t.vcatalog bound
-                 then
-                   let has_params = Plan_cache.bound_has_params bound0 in
-                   cc.cache_candidate <-
-                     Some
-                       {
-                         Plan_cache.e_bound = bound0;
-                         e_has_params = has_params;
-                         e_binder_features = bctx.Binder.features;
-                         e_rules = cc.transformer_rules;
-                         e_plan =
-                           (if has_params then None
-                            else
-                              Some
-                                {
-                                  Plan_cache.p_target_sql =
-                                    (match cc.sql_sent with
-                                    | s :: _ -> s
-                                    | [] -> "");
-                                  p_no_op = cc.last_no_op;
-                                });
-                         e_bind_s = cc.parse_s +. bind_s;
-                         e_translate_s = cc.timing.translate_s;
-                       });
-                r)
-      in
-      result
+  | Compiler.Set_session, Ast.S_set_session (name, v), _ -> set_session cc name v
+  | Compiler.Explain, Ast.S_explain inner, _ ->
+      let lines = explain_lines t.cap (Compiler.compile (compile_env cc) inner) in
+      {
+        Backend.res_schema = [ ("EXPLANATION", Dtype.varchar ()) ];
+        res_rows = List.map (fun l -> [| Value.Varchar l |]) lines;
+        res_rowcount = List.length lines;
+        res_message = "EXPLAIN";
+      }
+  | Compiler.Recursive_query, _, Some st -> (
+      match Compiler.recursive_parts st with
+      | Some (name, seed, step, body) ->
+          Emulation.emulate_recursive_query runner ~name ~seed ~step ~body
+      | None -> Sql_error.internal_error "recursive route without a top-level CTE")
+  | Compiler.Merge, _, Some st -> Emulation.emulate_merge runner ~fresh_id:(fresh_ids ()) st
+  | Compiler.Set_table_insert, _, Some (Xtra.Insert { target; target_cols; source }) ->
+      Emulation.emulate_set_table_insert runner ~fresh_id:(fresh_ids ()) ~target ~target_cols
+        ~source
+  | _ -> Sql_error.internal_error "no emulation for %s" (Ast.statement_kind c.Compiler.ast)
 
 (* --- public entry points ------------------------------------------------ *)
 
@@ -995,6 +799,7 @@ let finish_outcome cc ~sql_text (result : Backend.result) : outcome =
     out_observation = observation;
     out_timings = cc.timing;
     out_emulation_trace = List.rev !(cc.trace);
+    out_route = cc.route;
   }
 
 (* Meter a stage that runs before any call context exists (lexing, parsing,
@@ -1041,125 +846,81 @@ let with_query_telemetry t ~session ~sql f =
 (* Replay a cached translation. Param-free entries skip straight to
    execution of the stored target SQL; parameterized entries substitute the
    fresh bindings into the stored bound form and re-run only
-   transform + serialize. [lookup_s] (the cache probe) is all that remains
-   of the translate bucket on the fast path. *)
-let run_cached t ~tracer ~session ~params ~sql_text ~lookup_s ~act
-    (entry : Plan_cache.entry) : outcome =
+   transform + serialize. *)
+let replay cc (entry : Plan_cache.entry) : Backend.result =
+  cc.binder_features <- entry.Plan_cache.e_binder_features;
+  match entry.Plan_cache.e_plan with
+  | Some plan ->
+      let sql = plan.Plan_cache.p_target_sql in
+      cc.transformer_rules <- entry.Plan_cache.e_rules;
+      cc.sql_sent <- (if sql = "" then [] else [ sql ]);
+      if plan.Plan_cache.p_no_op then ok_result "OK"
+      else timed Execute cc (fun () -> submit_backend cc ~sql)
+  | None ->
+      let bound =
+        timed Bind cc (fun () -> Compiler.substitute_params cc.params entry.Plan_cache.e_bound)
+      in
+      run_lowered cc (Compiler.lower (compile_env cc) bound)
+
+let session_or t = function Some s -> s | None -> Session.create ~created_at:(now t) ()
+
+(* One statement through the plan cache. [pre_s] is parse cost the caller
+   already paid; on a miss [parse] produces the statement. A hit skips the
+   rest of the translation ([lookup_s] is all that remains of the translate
+   bucket); a miss runs the statement and stores any captured translation
+   under the catalog version observed before it ran (a concurrent DDL then
+   simply leaves a stale entry that the next lookup invalidates). *)
+let run_text t ~session ~params ~sql_text ~pre_s ~parse : outcome =
+  let session = session_or t session in
+  with_query_telemetry t ~session ~sql:sql_text @@ fun tracer ->
+  let version = Catalog.version t.vcatalog in
+  let act = active_rule_set t session in
+  let key = cache_key ~rules:act.Rules_registry.act_set_id ~cap:t.cap sql_text in
+  let t0 = now t in
+  let hit = stage_timed t tracer Cache_lookup (fun () -> Plan_cache.find t.cache ~version key) in
+  let lookup_s = now t -. t0 in
   bump_counters t session;
   let cc = make_cc ~tracer ~rules_active:act t session params in
-  cc.timing.translate_s <- lookup_s;
-  cc.binder_features <- entry.Plan_cache.e_binder_features;
   let result =
-    match entry.Plan_cache.e_plan with
-    | Some plan ->
-        cc.transformer_rules <- entry.Plan_cache.e_rules;
-        cc.sql_sent <-
-          (if plan.Plan_cache.p_target_sql = "" then []
-           else [ plan.Plan_cache.p_target_sql ]);
-        if plan.Plan_cache.p_no_op then
-          { Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "OK" }
-        else
-          timed Execute cc (fun () ->
-              submit_backend cc ~sql:plan.Plan_cache.p_target_sql)
+    match hit with
+    | Some entry ->
+        Obs.trace_set_cache_hit tracer true;
+        cc.timing.translate_s <- pre_s +. lookup_s;
+        replay cc entry
     | None ->
-        let bound =
-          timed Bind cc (fun () ->
-              substitute_params params entry.Plan_cache.e_bound)
-        in
-        run_bound cc bound
+        let t1 = now t in
+        let ast = parse tracer in
+        cc.parse_s <- pre_s +. (now t -. t1);
+        cc.timing.translate_s <- cc.parse_s;
+        let result = run_ast_statement cc ast in
+        (match cc.cache_candidate with
+        | Some entry when Plan_cache.enabled t.cache -> Plan_cache.add t.cache ~version key entry
+        | _ -> ());
+        result
   in
-  finish_outcome cc ~sql_text result
-
-(* The uncached path: run the statement and store any captured translation
-   under the catalog version observed before the statement ran (a concurrent
-   DDL then simply leaves a stale entry that the next lookup invalidates). *)
-let run_uncached t ~tracer ~session ~params ~sql_text ~parse_s ~version ~act
-    ast : outcome =
-  let cc = make_cc ~tracer ~rules_active:act t session params in
-  cc.parse_s <- parse_s;
-  cc.timing.translate_s <- parse_s;
-  let result = run_ast_statement cc ast in
-  (match cc.cache_candidate with
-  | Some entry when Plan_cache.enabled t.cache ->
-      Plan_cache.add t.cache ~version
-        (cache_key ~rules:act.Rules_registry.act_set_id ~cap:t.cap sql_text)
-        entry
-  | _ -> ());
   finish_outcome cc ~sql_text result
 
 (** Run an already-parsed statement (used by the gateway, scripts and
     scale-out). Checks the plan cache by [sql_text] — a hit skips
     bind/transform/serialize; the parse already paid for by the caller is
     reported via [parse_s]. *)
-let run_statement_ast t ?session ?(params = []) ?(parse_s = 0.) ~sql_text ast
-    : outcome =
-  let session =
-    match session with
-    | Some s -> s
-    | None -> Session.create ~created_at:(now t) ()
-  in
-  with_query_telemetry t ~session ~sql:sql_text @@ fun tracer ->
-  let version = Catalog.version t.vcatalog in
-  let act = active_rule_set t session in
-  let t0 = now t in
-  match
-    stage_timed t tracer Cache_lookup (fun () ->
-        Plan_cache.find t.cache ~version
-          (cache_key ~rules:act.Rules_registry.act_set_id ~cap:t.cap sql_text))
-  with
-  | Some entry ->
-      Obs.trace_set_cache_hit tracer true;
-      let lookup_s = now t -. t0 in
-      run_cached t ~tracer ~session ~params ~sql_text
-        ~lookup_s:(parse_s +. lookup_s) ~act entry
-  | None ->
-      bump_counters t session;
-      run_uncached t ~tracer ~session ~params ~sql_text ~parse_s ~version ~act
-        ast
+let run_statement_ast t ?session ?(params = []) ?(parse_s = 0.) ~sql_text ast : outcome =
+  run_text t ~session ~params ~sql_text ~pre_s:parse_s ~parse:(fun _ -> ast)
 
 (** Run one source-dialect SQL statement end to end. [params] binds
     positional [?] markers, left to right. On a plan-cache hit the parse is
     skipped along with the rest of the translation. *)
 let run_sql t ?session ?(params = []) sql : outcome =
-  let session =
-    match session with
-    | Some s -> s
-    | None -> Session.create ~created_at:(now t) ()
-  in
-  with_query_telemetry t ~session ~sql @@ fun tracer ->
-  let version = Catalog.version t.vcatalog in
-  let act = active_rule_set t session in
-  let t0 = now t in
-  match
-    stage_timed t tracer Cache_lookup (fun () ->
-        Plan_cache.find t.cache ~version
-          (cache_key ~rules:act.Rules_registry.act_set_id ~cap:t.cap sql))
-  with
-  | Some entry ->
-      Obs.trace_set_cache_hit tracer true;
-      let lookup_s = now t -. t0 in
-      run_cached t ~tracer ~session ~params ~sql_text:sql ~lookup_s ~act entry
-  | None ->
-      bump_counters t session;
-      let t0 = now t in
+  run_text t ~session ~params ~sql_text:sql ~pre_s:0. ~parse:(fun tracer ->
       let tokens = stage_timed t tracer Lex (fun () -> Lexer.tokenize sql) in
-      let ast =
-        stage_timed t tracer Parse (fun () ->
-            Parser.parse_statement_tokens ~dialect:Dialect.Teradata tokens)
-      in
-      let parse_s = now t -. t0 in
-      run_uncached t ~tracer ~session ~params ~sql_text:sql ~parse_s ~version
-        ~act ast
+      stage_timed t tracer Parse (fun () ->
+          Parser.parse_statement_tokens ~dialect:Dialect.Teradata tokens))
 
 (** Run a [;]-separated script; returns one outcome per statement. Each
     statement's own source text (not the whole script) is attributed to its
     observation and plan-cache entry. *)
 let run_script t ?session sql : outcome list =
-  let session =
-    match session with
-    | Some s -> s
-    | None -> Session.create ~created_at:(now t) ()
-  in
+  let session = session_or t session in
   let spanned = Parser.parse_many_spanned ~dialect:Dialect.Teradata sql in
   List.map
     (fun (ast, text) -> run_statement_ast t ~session ~sql_text:text ast)
@@ -1217,11 +978,7 @@ let batch_single_row_dml (asts : Ast.statement list) : Ast.statement list * int
     statements before translation. Returns one outcome per *executed*
     statement plus the number of original statements absorbed. *)
 let run_script_batched t ?session sql : outcome list * int =
-  let session =
-    match session with
-    | Some s -> s
-    | None -> Session.create ~created_at:(now t) ()
-  in
+  let session = session_or t session in
   let spanned = Parser.parse_many_spanned ~dialect:Dialect.Teradata sql in
   let spanned, merged = batch_single_row_dml_spanned spanned in
   ( List.map
@@ -1229,88 +986,61 @@ let run_script_batched t ?session sql : outcome list * int =
       spanned,
     merged )
 
+(* The compile env of the entry points that run no statement (translate,
+   observe): the gateway-default rule packs plus the inference passes. *)
+let offline_env t ~cap act =
+  Compiler.env ~dialect:Dialect.Teradata ~catalog:t.vcatalog ~cap
+    ~scalar_rules:act.Rules_registry.act_scalar
+    ~rel_rules:(act.Rules_registry.act_rel @ t.infer_rel_rules)
+
 (** Translate only (no execution): the serialized target SQL. Used by tests
     and by the Figure 2 / Table 2 benches against non-executing targets.
     Raises [Capability_gap] for statements the emulation layer owns (EXEC,
-    HELP, DML on views, ...), which have no single target statement.
+    HELP, DML on views, MERGE or SET-table INSERT or recursion the target
+    lacks, ...), which have no single target statement.
     Consults and populates the plan cache: a param-free hit returns the
     stored target SQL outright; a parameterized hit reuses the stored bound
     form and re-runs only transform + serialize. *)
 let translate t ?(cap = t.cap) sql : string =
   let version = Catalog.version t.vcatalog in
   let act = Rules_registry.active t.rules ~packs:t.default_rule_packs in
-  let extra_scalar = act.Rules_registry.act_scalar in
-  let extra_rel = act.Rules_registry.act_rel in
   let key = cache_key ~rules:act.Rules_registry.act_set_id ~cap sql in
+  let t0 = now t in
+  let bind_s = ref 0. in
+  let env =
+    {
+      (offline_env t ~cap act) with
+      Compiler.validate = validator t;
+      time =
+        (fun stage f ->
+          let r = f () in
+          if stage = Compiler.Bind then bind_s := now t -. t0;
+          r);
+    }
+  in
   match Plan_cache.find t.cache ~version key with
   | Some { Plan_cache.e_plan = Some plan; _ } -> plan.Plan_cache.p_target_sql
-  | Some { Plan_cache.e_plan = None; e_bound; _ } ->
-      let counter = ref 1_000_000 in
-      let transformed, _ =
-        Transformer.transform ~extra_scalar_rules:extra_scalar
-          ~extra_rel_rules:(extra_rel @ t.infer_rel_rules) ~cap ~counter
-          e_bound
-      in
-      Serializer.serialize ~cap transformed
-  | None ->
-      let t0 = now t in
-      let ast = Parser.parse_statement ~dialect:Dialect.Teradata sql in
-      (match ast with
-      | Ast.S_update { table; _ } | Ast.S_delete { table; _ } | Ast.S_insert { table; _ }
-        when Catalog.find_view t.vcatalog (List.nth table (List.length table - 1)) <> None
-        ->
-          Sql_error.capability_gap
-            "DML on view %s is handled by the emulation layer"
-            (List.nth table (List.length table - 1))
-      | _ -> ());
-      let bctx = Binder.create_ctx ~dialect:Dialect.Teradata t.vcatalog in
-      let bound = Binder.bind_statement bctx ast in
-      let bind_s = now t -. t0 in
-      if t.validate then record_validation t ~phase:"bind" ~rules:[] bound;
-      let counter = ref 1_000_000 in
-      let on_pass =
-        if t.validate then
-          Some
-            (fun i rules st' ->
-              record_validation t
-                ~phase:(Printf.sprintf "transform pass %d" i)
-                ~rules st')
-        else None
-      in
-      let transformed, applied =
-        Transformer.transform ?on_pass ~extra_scalar_rules:extra_scalar
-          ~extra_rel_rules:(extra_rel @ t.infer_rel_rules) ~cap ~counter bound
-      in
-      let target_sql = Serializer.serialize ~cap transformed in
-      let translate_s = now t -. t0 in
-      if cacheable_bound ~cap t.vcatalog bound then begin
-        let has_params = Plan_cache.bound_has_params bound in
-        Plan_cache.add t.cache ~version key
-          {
-            Plan_cache.e_bound = bound;
-            e_has_params = has_params;
-            e_binder_features = bctx.Binder.features;
-            e_rules = List.map fst applied;
-            e_plan =
-              (if has_params then None
-               else
-                 Some
-                   {
-                     Plan_cache.p_target_sql = target_sql;
-                     p_no_op =
-                       (match transformed with Xtra.No_op _ -> true | _ -> false);
-                   });
-            e_bind_s = bind_s;
-            e_translate_s = translate_s;
-          }
-      end;
-      target_sql
+  | Some { Plan_cache.e_plan = None; e_bound; _ } -> (Compiler.lower env e_bound).Compiler.sql
+  | None -> (
+      let c = Compiler.compile env (Parser.parse_statement ~dialect:Dialect.Teradata sql) in
+      match (c.Compiler.route, c.Compiler.lowered) with
+      | Compiler.Target, Some l ->
+          Option.iter
+            (Plan_cache.add t.cache ~version key)
+            (cache_entry c ~bind_s:!bind_s ~translate_s:(now t -. t0));
+          l.Compiler.sql
+      | Compiler.Unsupported e, _ -> raise (Sql_error.Error e)
+      | Compiler.Emulate e, _ ->
+          Sql_error.capability_gap "%s is handled by the emulation layer on %s (%s)"
+            (Ast.statement_kind c.Compiler.ast) cap.Capability.name (Compiler.tag e)
+      | Compiler.Target, None -> Sql_error.internal_error "target route without a lowering")
 
-(** Instrument a statement without executing it: parse → bind → transform,
-    plus static detection of emulation-class features. This is the paper's
-    §7.1 methodology ("we instrumented Hyper-Q's query rewrite engine to
-    track a selection of 27 commonly used non-standard features") and lets
-    the Figure 8 study run over hundreds of thousands of queries quickly. *)
+(** Instrument a statement without executing it: parse → bind → transform
+    through the compile step, with its route's emulation tag. This is the
+    paper's §7.1 methodology ("we instrumented Hyper-Q's query rewrite
+    engine to track a selection of 27 commonly used non-standard features")
+    and lets the Figure 8 study run over hundreds of thousands of queries
+    quickly. *)
 let observe_sql t sql : Feature_tracker.observation =
   let act = Rules_registry.active t.rules ~packs:t.default_rule_packs in
   match
@@ -1324,61 +1054,15 @@ let observe_sql t sql : Feature_tracker.observation =
         ~binder_features:entry.Plan_cache.e_binder_features
         ~transformer_rules:entry.Plan_cache.e_rules ~emulation_tags:[]
   | None ->
-  let ast = Parser.parse_statement ~dialect:Dialect.Teradata sql in
-  let binder_features = ref [] in
-  let transformer_rules = ref [] in
-  let emulation_tags = ref [] in
-  let tag x = emulation_tags := x :: !emulation_tags in
-  (match ast with
-  | Ast.S_exec_macro _ | Ast.S_create_macro _ | Ast.S_drop_macro _ ->
-      tag "macros"
-  | Ast.S_create_procedure _ | Ast.S_drop_procedure _ | Ast.S_call _ ->
-      tag "stored_procedures"
-  | Ast.S_create_view _ | Ast.S_drop_view _ -> tag "updatable_view_ddl"
-  | Ast.S_help _ -> tag "help_commands"
-  | Ast.S_show _ -> tag "show_commands"
-  | Ast.S_set_session _ -> tag "set_session"
-  | Ast.S_update { table; _ } | Ast.S_delete { table; _ } | Ast.S_insert { table; _ }
-    when Catalog.find_view t.vcatalog (List.nth table (List.length table - 1)) <> None
-    ->
-      tag "dml_on_views"
-  | Ast.S_insert { table; _ }
-    when (not t.cap.Capability.set_tables)
-         && (match
-               Catalog.find_table t.vcatalog (List.nth table (List.length table - 1))
-             with
-            | Some tbl -> tbl.Catalog.tbl_set_semantics
-            | None -> false) ->
-      tag "set_tables"
-  | Ast.S_merge _ when not t.cap.Capability.merge_stmt -> tag "merge"
-  | _ -> ());
-  (match ast with
-  | Ast.S_exec_macro _ | Ast.S_create_macro _ | Ast.S_drop_macro _
-  | Ast.S_create_view _ | Ast.S_drop_view _ | Ast.S_help _ | Ast.S_show _
-  | Ast.S_set_session _ ->
-      ()
-  | ast -> (
-      try
-        let bctx = Binder.create_ctx ~dialect:Dialect.Teradata t.vcatalog in
-        let bound = Binder.bind_statement bctx ast in
-        binder_features := bctx.Binder.features;
-        (if (not t.cap.Capability.recursive_cte)
-            && List.mem "recursive_query" bctx.Binder.features
-         then tag "recursive_query");
-        let counter = ref 1_000_000 in
-        let _, applied =
-          Transformer.transform
-            ~extra_scalar_rules:act.Rules_registry.act_scalar
-            ~extra_rel_rules:(act.Rules_registry.act_rel @ t.infer_rel_rules)
-            ~cap:t.cap ~counter bound
-        in
-        transformer_rules := List.map fst applied
-      with Sql_error.Error _ ->
-        (* emulation-only statements reject binding; the tags above carry
-           the classification *)
-        ()));
-  Feature_tracker.observe ~sql ~binder_features:!binder_features
-    ~transformer_rules:!transformer_rules ~emulation_tags:!emulation_tags
+      let c =
+        Compiler.compile (offline_env t ~cap:t.cap act)
+          (Parser.parse_statement ~dialect:Dialect.Teradata sql)
+      in
+      Feature_tracker.observe ~sql ~binder_features:c.Compiler.features
+        ~transformer_rules:
+          (match c.Compiler.lowered with Some l -> l.Compiler.fired | None -> [])
+        ~emulation_tags:
+          (match c.Compiler.route with Compiler.Emulate e -> [ Compiler.tag e ] | _ -> [])
 
 (** Drop all volatile tables registered by [session] (logoff cleanup). *)
 let end_session t (session : Session.t) =
@@ -1478,13 +1162,10 @@ let run_differential t ~cert ?diff_setup ~diff_queries () =
       let nondeterministic q =
         match
           Sql_error.protect (fun () ->
-              let ast = Parser.parse_statement ~dialect:Dialect.Teradata q in
-              let bctx =
-                Binder.create_ctx ~dialect:Dialect.Teradata base.vcatalog
-              in
-              Binder.bind_statement bctx ast)
+              Compiler.algebrize ~dialect:Dialect.Teradata base.vcatalog
+                (Parser.parse_statement ~dialect:Dialect.Teradata q))
         with
-        | Ok bound ->
+        | Ok (bound, _) ->
             Infer.det_of_statement bound <> Hyperq_binder.Builtins.Immutable
         | Error _ -> false
       in

@@ -91,9 +91,11 @@ type outcome = {
   out_activity : string;
   out_count : int;  (** result rows for queries, affected rows for DML *)
   out_sql : string list;  (** statements actually sent to the backend *)
-  out_observation : Feature_tracker.observation;
+  out_observation : Hyperq_analyze.Feature_tracker.observation;
   out_timings : timings;
   out_emulation_trace : string list;  (** §6-style step log, when emulated *)
+  out_route : Hyperq_analyze.Compiler.route;
+      (** the route {!Hyperq_analyze.Compiler} chose for the statement *)
 }
 
 (** [create ~cap ~request_latency_s ~plan_cache_capacity ~fault ~resil ~obs
@@ -171,8 +173,8 @@ val run_script_batched :
 
 (** Translate only (no execution): the serialized target SQL for [cap]
     (default: the pipeline's own target). Raises [Capability_gap] for
-    statements owned by the emulation layer. Consults and populates the
-    plan cache. *)
+    every statement the compile step routes to the emulation layer on
+    [cap]. Consults and populates the plan cache. *)
 val translate : t -> ?cap:Hyperq_transform.Capability.t -> string -> string
 
 (** Counters of the pipeline's translation cache. Thin view over
@@ -198,9 +200,10 @@ val breaker_state : t -> Resilience.breaker_state
     [\health]). *)
 val health_to_string : t -> string
 
-(** Instrument a statement without executing it (parse → bind → transform
-    plus static emulation detection) — the §7.1 measurement methodology. *)
-val observe_sql : t -> string -> Feature_tracker.observation
+(** Instrument a statement without executing it (parse, then the compile
+    step, tagged with its route's emulation) — the §7.1 measurement
+    methodology. *)
+val observe_sql : t -> string -> Hyperq_analyze.Feature_tracker.observation
 
 (** Logoff cleanup: drop the session's volatile tables. *)
 val end_session : t -> Session.t -> unit

@@ -14,11 +14,8 @@
 open Hyperq_sqlvalue
 open Hyperq_sqlparser
 module Catalog = Hyperq_catalog.Catalog
-module Binder = Hyperq_binder.Binder
 module Capability = Hyperq_transform.Capability
-module Transformer = Hyperq_transform.Transformer
-module Serializer = Hyperq_serialize.Serializer
-module Analyzer = Hyperq_analyze.Analyzer
+module Compiler = Hyperq_analyze.Compiler
 module Validator = Hyperq_analyze.Validator
 module Diag = Hyperq_analyze.Diag
 
@@ -68,72 +65,63 @@ let screen ~cap ~corpus (pack : Compile.pack) : (certificate * stats, Diag.t lis
       (fun m -> rejections := Diag.make ?span ?rule ~code "%s" m :: !rejections)
       fmt
   in
-  let fresh_counter () = ref 1_000_000 in
-  (* Baseline transform of the same bound statement, without the pack. *)
-  let baseline bound = Transformer.transform ~cap ~counter:(fresh_counter ()) bound in
   let check_statement ~script catalog (l : Parser.located) =
     let ast = l.Parser.loc_stmt in
-    match Analyzer.static_class catalog ~dialect:Dialect.Teradata ast with
-    | Some _ -> incr skipped (* emulation-class; never reaches the Transformer *)
-    | None -> (
-        let bctx = Binder.create_ctx ~dialect:Dialect.Teradata catalog in
-        match Sql_error.protect (fun () -> Binder.bind_statement bctx ast) with
-        | Error _ -> incr skipped
-        | Ok bound -> (
-            incr screened;
-            (match
-               Sql_error.protect (fun () ->
-                   Transformer.transform ~extra_scalar_rules:extra_scalar
-                     ~extra_rel_rules:extra_rel ~cap ~counter:(fresh_counter ()) bound)
-             with
-            | Error e ->
-                (* Blame the pack only if the baseline transform succeeds. *)
-                if Result.is_ok (Sql_error.protect (fun () -> baseline bound)) then
-                  reject ?span:(span_of_rules pack []) ~code:"R203"
-                    "pack %s: transform raised '%s' on %s statement \"%s\"" pack.Compile.cp_name
-                    (Sql_error.to_string e) script (excerpt l.Parser.loc_text)
-            | Ok (transformed, applied) ->
-                let pack_fired =
-                  List.filter (fun (n, _) -> Compile.owns_rule pack n) applied
-                in
-                if pack_fired <> [] then begin
-                  fires := !fires + List.fold_left (fun a (_, c) -> a + c) 0 pack_fired;
-                  let fired_names = List.map fst pack_fired in
-                  let span = span_of_rules pack fired_names in
-                  let rule = String.concat "," fired_names in
-                  let vdiags = Validator.validate transformed in
-                  (if Diag.has_errors vdiags then
-                     let baseline_clean =
-                       match Sql_error.protect (fun () -> baseline bound) with
-                       | Ok (tf, _) -> not (Diag.has_errors (Validator.validate tf))
-                       | Error _ -> false
-                     in
-                     if baseline_clean then
-                       let first =
-                         List.find (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) vdiags
-                       in
-                       reject ?span ~rule ~code:"R201"
-                         "screening violation %s after %s fired on %s statement \"%s\": %s"
-                         first.Diag.code rule script (excerpt l.Parser.loc_text)
-                         first.Diag.message);
-                  match Sql_error.protect (fun () -> Serializer.serialize ~cap transformed) with
-                  | Ok _ -> ()
-                  | Error e ->
-                      let baseline_serializes =
-                        match Sql_error.protect (fun () -> baseline bound) with
-                        | Ok (tf, _) ->
-                            Result.is_ok
-                              (Sql_error.protect (fun () -> Serializer.serialize ~cap tf))
-                        | Error _ -> false
-                      in
-                      if baseline_serializes then
-                        reject ?span ~rule ~code:"R204"
-                          "pack %s: serialization failed ('%s') after %s fired on %s statement \"%s\""
-                          pack.Compile.cp_name (Sql_error.to_string e) rule script
-                          (excerpt l.Parser.loc_text)
-                end);
-            (* Keep the screening catalog in sync for later statements. *)
-            Analyzer.apply_ddl catalog ast bound))
+    let env scalar_rules rel_rules =
+      Compiler.env ~dialect:Dialect.Teradata ~catalog ~cap ~scalar_rules ~rel_rules
+    in
+    (* Baseline transform of the same bound statement, without the pack. *)
+    let baseline bound = Compiler.transform (env [] []) bound in
+    let c = Compiler.bind (env [] []) ast in
+    (match c.Compiler.bound with
+    | None -> incr skipped (* emulation-class or unbindable; never transformed *)
+    | Some bound -> (
+        incr screened;
+        match
+          Sql_error.protect (fun () -> Compiler.transform (env extra_scalar extra_rel) bound)
+        with
+        | Error e ->
+            (* Blame the pack only if the baseline transform succeeds. *)
+            if Result.is_ok (Sql_error.protect (fun () -> baseline bound)) then
+              reject ?span:(span_of_rules pack []) ~code:"R203"
+                "pack %s: transform raised '%s' on %s statement \"%s\"" pack.Compile.cp_name
+                (Sql_error.to_string e) script (excerpt l.Parser.loc_text)
+        | Ok (transformed, applied) ->
+            let pack_fired = List.filter (fun (n, _) -> Compile.owns_rule pack n) applied in
+            if pack_fired <> [] then begin
+              fires := !fires + List.fold_left (fun a (_, c) -> a + c) 0 pack_fired;
+              let fired_names = List.map fst pack_fired in
+              let span = span_of_rules pack fired_names in
+              let rule = String.concat "," fired_names in
+              let vdiags = Validator.validate transformed in
+              (if Diag.has_errors vdiags then
+                 let baseline_clean =
+                   match Sql_error.protect (fun () -> baseline bound) with
+                   | Ok (tf, _) -> not (Diag.has_errors (Validator.validate tf))
+                   | Error _ -> false
+                 in
+                 if baseline_clean then
+                   let first = List.find (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) vdiags in
+                   reject ?span ~rule ~code:"R201"
+                     "screening violation %s after %s fired on %s statement \"%s\": %s"
+                     first.Diag.code rule script (excerpt l.Parser.loc_text) first.Diag.message);
+              let serialize tf = Sql_error.protect (fun () -> Compiler.serialize (env [] []) tf) in
+              match serialize transformed with
+              | Ok _ -> ()
+              | Error e ->
+                  let baseline_serializes =
+                    match Sql_error.protect (fun () -> baseline bound) with
+                    | Ok (tf, _) -> Result.is_ok (serialize tf)
+                    | Error _ -> false
+                  in
+                  if baseline_serializes then
+                    reject ?span ~rule ~code:"R204"
+                      "pack %s: serialization failed ('%s') after %s fired on %s statement \"%s\""
+                      pack.Compile.cp_name (Sql_error.to_string e) rule script
+                      (excerpt l.Parser.loc_text)
+            end));
+    (* Keep the screening catalog in sync for later statements. *)
+    Compiler.track catalog c
   in
   List.iter
     (fun (script, sql) ->

@@ -291,7 +291,7 @@ let all () = [ health (); telco () ]
 (* ------------------------------------------------------------------ *)
 
 module Pipeline = Hyperq_core.Pipeline
-module Feature_tracker = Hyperq_core.Feature_tracker
+module Feature_tracker = Hyperq_analyze.Feature_tracker
 
 (** Prime a fresh pipeline with the workload schema and run the instrumented
     rewrite engine over every distinct query (Figure 8 methodology). *)

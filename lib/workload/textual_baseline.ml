@@ -11,7 +11,7 @@
     no transformation-class rewrite and no emulation (i.e. the full rewrite
     engine observes no non-translation feature). *)
 
-module Feature_tracker = Hyperq_core.Feature_tracker
+module Feature_tracker = Hyperq_analyze.Feature_tracker
 module Pipeline = Hyperq_core.Pipeline
 
 (* keyword-level substitutions a textual tool can do safely *)

@@ -13,6 +13,7 @@ module Transformer = Hyperq_transform.Transformer
 module Diag = Hyperq_analyze.Diag
 module Validator = Hyperq_analyze.Validator
 module Analyzer = Hyperq_analyze.Analyzer
+module Compiler = Hyperq_analyze.Compiler
 module Pipeline = Hyperq_core.Pipeline
 module Obs = Hyperq_obs.Obs
 module Customer = Hyperq_workload.Customer
@@ -82,7 +83,7 @@ let fold_bound_script catalog sql f =
                 (Ast.statement_kind ast) (Sql_error.to_string e)
           | Ok bound ->
               f ast bound bctx.Binder.next_id;
-              Analyzer.apply_ddl catalog ast bound))
+              Compiler.apply_effects catalog ast (Some bound)))
     stmts
 
 (* The corpus: TPC-H DDL + 22 queries, plus both customer workloads. *)
@@ -189,7 +190,7 @@ let bind_one sql =
       let ast = Parser.parse_statement ~dialect:Dialect.Teradata ddl in
       let bctx = Binder.create_ctx catalog in
       let bound = Binder.bind_statement bctx ast in
-      Analyzer.apply_ddl catalog ast bound)
+      Compiler.apply_effects catalog ast (Some bound))
     [
       "CREATE TABLE T (A INTEGER, B VARCHAR(10), C DATE)";
       "CREATE TABLE U (A INTEGER, D DECIMAL(10,2))";
@@ -497,6 +498,125 @@ let test_analyzer_corpus_health () =
     rep.Analyzer.rep_statements;
   check bb "no error diagnostics" false (Analyzer.has_errors rep)
 
+
+(* ------------------------------------------------------------------ *)
+(* One compile path: pinned reports and route agreement                 *)
+(* ------------------------------------------------------------------ *)
+
+let recursive_cte =
+  "WITH RECURSIVE R (V) AS (SEL K FROM S WHERE K = 1 UNION ALL SEL S.K FROM S, R \
+   WHERE S.K = R.V)"
+
+(* Recursion below the top of a query: no WorkTable emulation applies. *)
+let nested_recursive_script =
+  String.concat ";\n"
+    [
+      "CREATE TABLE S (K INTEGER, D DATE)";
+      "CREATE TABLE T2 (V INTEGER)";
+      "INSERT INTO T2 (V) " ^ recursive_cte ^ " SEL V FROM R";
+      "CREATE TABLE C AS (" ^ recursive_cte ^ " SEL V FROM R) WITH DATA";
+      "SEL X.V FROM (" ^ recursive_cte ^ " SEL V FROM R) X";
+      recursive_cte ^ " SEL V FROM R";
+    ]
+
+let test_analyzer_nested_recursive_unsupported () =
+  let rep =
+    Analyzer.analyze_script
+      ~targets:[ Capability.ansi_engine_norec; Capability.ansi_engine ]
+      ~script_name:"nested" nested_recursive_script
+  in
+  List.iter
+    (fun i ->
+      check bb
+        (Printf.sprintf "statement %d unsupported on norec" i)
+        true
+        (support_of rep i "ansi-engine-norec" = Analyzer.Unsupported);
+      check bb
+        (Printf.sprintf "statement %d served where recursion is native" i)
+        true
+        (support_of rep i "ansi-engine" <> Analyzer.Unsupported))
+    [ 2; 3; 4 ]
+
+(* Text + JSON reports on the default targets, digested (the full reports
+   run to megabytes). The digests were taken from the analyzer's own
+   routing copy, so they pin that sharing the pipeline's compile step
+   changed no report. *)
+let pinned_reports =
+  [
+    ("health", "72973b8f9318019bc51214087dec0009");
+    ("telco", "0c01c25db9529ef931e4d304713dba77");
+    ("tpch", "d48731e9465fc434912d72797c2bafca");
+    ("antipatterns", "e36b406149631f70022fd1911c67216f");
+    ("examples/sql/org_hierarchy.sql", "82a0760a24aca1b8d150d25bdd0190cd");
+    ("examples/sql/retail_migration.sql", "112ae1580bec9d71dfebe6f0bfd702cd");
+  ]
+
+let report_scripts () =
+  Hyperq_workload.Rules_corpus.screening_scripts ()
+  @ List.filter_map
+      (fun f -> Option.map (fun path -> (f, read_file path)) (find_example f))
+      [ "examples/sql/org_hierarchy.sql"; "examples/sql/retail_migration.sql" ]
+
+let test_reports_pinned () =
+  List.iter
+    (fun (name, sql) ->
+      let rep = Analyzer.analyze_script ~script_name:name sql in
+      check Alcotest.string (name ^ " report digest") (List.assoc name pinned_reports)
+        (Digest.to_hex (Digest.string (Analyzer.render_text rep ^ Analyzer.render_json rep))))
+    (report_scripts ())
+
+(* A backend that answers every request with an empty result: the route the
+   pipeline's dispatch takes is observed without executing anything. *)
+let dispatch_only cap =
+  let p = Pipeline.create ~cap ~obs:Obs.noop () in
+  let empty ~sql:_ =
+    { Hyperq_engine.Backend.res_schema = []; res_rows = []; res_rowcount = 0; res_message = "OK" }
+  in
+  {
+    p with
+    Pipeline.odbc =
+      Hyperq_core.Odbc_server.create
+        { Hyperq_core.Odbc_server.driver_name = "dispatch-only"; submit = empty };
+  }
+
+let test_analyzer_agrees_with_dispatch () =
+  let targets = Capability.ansi_engine_norec :: Analyzer.default_targets in
+  List.iter
+    (fun (name, sql) ->
+      let rep = Analyzer.analyze_script ~targets ~script_name:name sql in
+      let located = Parser.parse_many_located ~dialect:Dialect.Teradata sql in
+      List.iter
+        (fun (cap : Capability.t) ->
+          let p = dispatch_only cap in
+          let session = Hyperq_core.Session.create () in
+          List.iter2
+            (fun (l : Parser.located) sr ->
+              let taken =
+                match
+                  Sql_error.protect (fun () ->
+                      Pipeline.run_statement_ast p ~session ~sql_text:l.Parser.loc_text
+                        l.Parser.loc_stmt)
+                with
+                | Ok { Pipeline.out_route = Compiler.Target; _ } -> `Served
+                | Ok { Pipeline.out_route = Compiler.Emulate e; _ } ->
+                    (* middle-tier DDL is served natively where the target has it *)
+                    if Analyzer.feature_native cap (Compiler.tag e) then `Served else `Emulated
+                | Ok { Pipeline.out_route = Compiler.Unsupported _; _ } | Error _ -> `Unsupported
+              in
+              let reported =
+                match List.assoc cap.Capability.name sr.Analyzer.sr_support with
+                | Analyzer.Direct | Analyzer.Rewrite -> `Served
+                | Analyzer.Emulate -> `Emulated
+                | Analyzer.Unsupported -> `Unsupported
+              in
+              if taken <> reported then
+                Alcotest.failf "%s statement %d on %s: analyzer says %s, dispatch disagrees" name
+                  sr.Analyzer.sr_index cap.Capability.name
+                  (Analyzer.support_to_string (List.assoc cap.Capability.name sr.Analyzer.sr_support)))
+            located rep.Analyzer.rep_statements)
+        targets)
+    (("nested", nested_recursive_script) :: report_scripts ())
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline wiring: ~validate:true runs the validator, counts in Obs    *)
 (* ------------------------------------------------------------------ *)
@@ -566,6 +686,11 @@ let suite =
       test_analyzer_figure2_teradata_full;
     Alcotest.test_case "analyzer: health workload end to end" `Quick
       test_analyzer_corpus_health;
+    Alcotest.test_case "analyzer: nested recursion unsupported on norec" `Quick
+      test_analyzer_nested_recursive_unsupported;
+    Alcotest.test_case "analyzer: reports pinned by digest" `Quick test_reports_pinned;
+    Alcotest.test_case "analyzer: classes agree with pipeline dispatch" `Slow
+      test_analyzer_agrees_with_dispatch;
     Alcotest.test_case "pipeline: ~validate:true wiring" `Quick
       test_pipeline_validate_flag;
     Alcotest.test_case "pipeline: validation off by default" `Quick

@@ -7,7 +7,9 @@ module Pipeline = Hyperq_core.Pipeline
 module Session = Hyperq_core.Session
 module Gateway = Hyperq_core.Gateway
 module Client = Hyperq_core.Client
-module FT = Hyperq_core.Feature_tracker
+module FT = Hyperq_analyze.Feature_tracker
+module Compiler = Hyperq_analyze.Compiler
+module Odbc_server = Hyperq_core.Odbc_server
 module Capability = Hyperq_transform.Capability
 
 let check = Alcotest.check
@@ -367,6 +369,133 @@ let test_multi_statement_script () =
   check ib "four statements" 4 (List.length outs);
   check (Alcotest.list sb) "final count" [ "2" ] (strings (List.nth outs 3))
 
+
+(* ------------------------------------------------------------------ *)
+(* One compile path: routes shared by run, translate and EXPLAIN        *)
+(* ------------------------------------------------------------------ *)
+
+(* [fresh] over a backend that counts the requests it receives. *)
+let counted ?cap () =
+  let p, _ = fresh ?cap () in
+  let requests = ref 0 in
+  let inner = Odbc_server.engine_driver p.Pipeline.backend in
+  let submit ~sql =
+    incr requests;
+    inner.Odbc_server.submit ~sql
+  in
+  ({ p with Pipeline.odbc = Odbc_server.create { inner with Odbc_server.submit } }, requests)
+
+let recursive_cte =
+  "WITH RECURSIVE R (V) AS (SEL EMPNO FROM EMP WHERE EMPNO = 1 UNION ALL SEL \
+   EMP.MGRNO FROM EMP, R WHERE EMP.EMPNO = R.V)"
+
+(* recursion the WorkTable iteration cannot take: not the top of a query *)
+let nested_recursive =
+  [
+    "INSERT INTO RT (V) " ^ recursive_cte ^ " SEL V FROM R";
+    "CREATE TABLE RC AS (" ^ recursive_cte ^ " SEL V FROM R) WITH DATA";
+    "SEL X.V FROM (" ^ recursive_cte ^ " SEL V FROM R) X";
+  ]
+
+let is_gap = function
+  | Error { Sql_error.kind = Sql_error.Capability_gap; _ } -> true
+  | _ -> false
+
+let test_nested_recursive_unsupported () =
+  let p, requests = counted ~cap:Capability.ansi_engine_norec () in
+  ignore (Pipeline.run_sql p "CREATE TABLE RT (V INTEGER)");
+  List.iter
+    (fun sql ->
+      let before = !requests in
+      check bb ("capability gap: " ^ sql) true
+        (is_gap (Sql_error.protect (fun () -> Pipeline.run_sql p sql)));
+      check ib ("nothing reached the backend: " ^ sql) before !requests)
+    nested_recursive;
+  let o = Pipeline.run_sql p recursive_query in
+  check bb "top-level recursion still emulated" true
+    (o.Pipeline.out_route = Compiler.Emulate Compiler.Recursive_query);
+  (* where recursion is native, each is one target statement *)
+  let native, _ = fresh () in
+  ignore (Pipeline.run_sql native "CREATE TABLE RT (V INTEGER)");
+  List.iter
+    (fun sql ->
+      check bb ("one target statement: " ^ sql) true
+        ((Pipeline.run_sql native sql).Pipeline.out_route = Compiler.Target))
+    nested_recursive
+
+let test_translate_set_table_insert_raises () =
+  let p = Pipeline.create () in
+  ignore (Pipeline.run_sql p "CREATE SET TABLE ST (A INTEGER)");
+  check bb "SET-table INSERT has no single target statement" true
+    (is_gap
+       (Sql_error.protect (fun () -> Pipeline.translate p "INSERT INTO ST (A) VALUES (1)")));
+  check bb "one statement where SET tables are native" true
+    (Result.is_ok
+       (Sql_error.protect (fun () ->
+            Pipeline.translate p ~cap:Capability.teradata "INSERT INTO ST (A) VALUES (1)")))
+
+let test_translate_recursive_raises () =
+  let p, _ = fresh ~cap:Capability.ansi_engine_norec () in
+  let query = recursive_cte ^ " SEL V FROM R" in
+  check bb "top-level recursion has no single target statement" true
+    (is_gap (Sql_error.protect (fun () -> Pipeline.translate p query)));
+  check bb "one statement where recursion is native" true
+    (Result.is_ok
+       (Sql_error.protect (fun () -> Pipeline.translate p ~cap:Capability.ansi_engine query)))
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let example_pack name =
+  let rel = "examples/rules/" ^ name in
+  read_file (if Sys.file_exists rel then rel else "../" ^ rel)
+
+(* EXPLAIN lowers with the statement's active rule set: its target SQL is
+   what running the statement sends, whether the pack is a gateway default
+   or a session layer. *)
+let test_explain_matches_run_with_packs () =
+  let stmt = "SEL UPPER(UPPER(LABEL)) FROM EV WHERE ID > 1" in
+  let target_sql (o : Pipeline.outcome) =
+    List.find_map
+      (fun row ->
+        let line = Value.to_string row.(0) in
+        let prefix = "target SQL (ansi-engine): " in
+        let n = String.length prefix in
+        if String.length line >= n && String.sub line 0 n = prefix then
+          Some (String.sub line n (String.length line - n))
+        else None)
+      o.Pipeline.out_rows
+  in
+  let check_layer name ~activate ~session_packs =
+    let p = Pipeline.create () in
+    let session = Session.create () in
+    let run sql = Pipeline.run_sql p ~session sql in
+    ignore (run "CREATE TABLE EV (ID INTEGER, LABEL VARCHAR(20))");
+    (match
+       Pipeline.load_rule_pack p ~activate
+         ~corpus:[ ("ev", "CREATE TABLE EV (ID INTEGER, LABEL VARCHAR(20));\n" ^ stmt) ]
+         (example_pack "teradata_cleanup.rules")
+     with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.failf "%s: teradata_cleanup rejected" name);
+    if session_packs then ignore (run "SET SESSION RULE_PACKS 'teradata_cleanup'");
+    let sent = match (run stmt).Pipeline.out_sql with [ s ] -> s | _ -> "" in
+    check bb (name ^ ": the pack rewrote the statement") true
+      (not (contains sent "UPPER(UPPER"));
+    check (Alcotest.option sb) (name ^ ": EXPLAIN shows the SQL that runs") (Some sent)
+      (target_sql (run ("EXPLAIN " ^ stmt)))
+  in
+  check_layer "gateway default" ~activate:true ~session_packs:false;
+  check_layer "session layer" ~activate:false ~session_packs:true
+
 let suite =
   [
     ("end-to-end select", `Quick, test_end_to_end_select);
@@ -387,4 +516,10 @@ let suite =
     ("concurrent sessions", `Quick, test_concurrent_sessions);
     ("error taxonomy", `Quick, test_error_taxonomy);
     ("multi-statement script", `Quick, test_multi_statement_script);
+    ("nested recursion unsupported without recursive CTEs", `Quick,
+      test_nested_recursive_unsupported);
+    ("translate: SET-table INSERT raises", `Quick, test_translate_set_table_insert_raises);
+    ("translate: top-level recursion raises", `Quick, test_translate_recursive_raises);
+    ("EXPLAIN target SQL = run SQL under rule packs", `Quick,
+      test_explain_matches_run_with_packs);
   ]

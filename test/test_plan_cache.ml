@@ -156,10 +156,10 @@ let test_observe_uses_cache () =
   let o_warm = Pipeline.observe_sql p q in
   check ib "observe_sql hits" (hits + 1) (stats p).Plan_cache.hits;
   check Alcotest.(list string) "features identical across the cache"
-    o_cold.Hyperq_core.Feature_tracker.query_features
-    o_warm.Hyperq_core.Feature_tracker.query_features;
+    o_cold.Hyperq_analyze.Feature_tracker.query_features
+    o_warm.Hyperq_analyze.Feature_tracker.query_features;
   check bb "observation is non-trivial" true
-    (o_warm.Hyperq_core.Feature_tracker.query_features <> [])
+    (o_warm.Hyperq_analyze.Feature_tracker.query_features <> [])
 
 let test_replay_speedup () =
   (* the acceptance criterion: replaying the same statement many times must
@@ -217,7 +217,7 @@ let test_script_attributes_statement_text () =
      whole script attributed to both statements, both observations would
      carry it *)
   let features o =
-    o.Pipeline.out_observation.Hyperq_core.Feature_tracker.query_features
+    o.Pipeline.out_observation.Hyperq_analyze.Feature_tracker.query_features
   in
   (match outs with
   | [ o1; o2 ] ->

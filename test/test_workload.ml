@@ -4,7 +4,7 @@
 
 open Hyperq_sqlvalue
 module Pipeline = Hyperq_core.Pipeline
-module FT = Hyperq_core.Feature_tracker
+module FT = Hyperq_analyze.Feature_tracker
 module Tpch = Hyperq_workload.Tpch
 module Q = Hyperq_workload.Tpch_queries
 module Customer = Hyperq_workload.Customer
