@@ -8,8 +8,7 @@
    Scale factor:        HYPERQ_SF=0.02 dune exec bench/main.exe -- fig9a
 
    Experiment ids: table1 fig2 fig8a fig8b baseline table2 fig9a fig9b
-   targets ablation cache resilience telemetry analyze exec dml parallel
-   serving rules micro *)
+   targets ablation cache telemetry analyze exec dml parallel rules micro *)
 
 open Hyperq_sqlvalue
 module Pipeline = Hyperq_core.Pipeline
@@ -470,121 +469,6 @@ let cache () =
     s.PC.hits s.PC.misses (PC.hit_rate s) s.PC.invalidations
     s.PC.saved_translate_s;
   Printf.printf "cache stats: %s\n" (PC.stats_to_string s)
-
-(* ------------------------------------------------------------------ *)
-(* Resilience: fault-free overhead, absorption, recovery latency        *)
-(* ------------------------------------------------------------------ *)
-
-let resilience () =
-  hr "Resilience: fault-free overhead, transient absorption, recovery latency";
-  let module R = Hyperq_core.Resilience in
-  let module Fault = Hyperq_engine.Fault in
-  let iters =
-    match Sys.getenv_opt "HYPERQ_RESIL_ITERS" with
-    | Some s -> int_of_string s
-    | None -> 200
-  in
-  let setup p =
-    ignore
-      (Pipeline.run_sql p "CREATE TABLE RES (ID INTEGER, V VARCHAR(20))");
-    ignore (Pipeline.run_sql p "INS RES (1, 'seed')")
-  in
-  let workload p on_error =
-    let session = Session.create () in
-    for i = 1 to iters do
-      (match
-         Sql_error.protect (fun () ->
-             Pipeline.run_sql p ~session "SEL ID, V FROM RES WHERE ID = 1")
-       with
-      | Ok _ -> ()
-      | Error e -> on_error e);
-      match
-        Sql_error.protect (fun () ->
-            Pipeline.run_sql p ~session
-              (Printf.sprintf "INS RES (%d, 'x')" (i + 1)))
-      with
-      | Ok _ -> ()
-      | Error e -> on_error e
-    done
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  (* 1. fault-free overhead: the resilience wrapper on vs bypassed, over a
-     read-only loop so per-iteration cost is constant *)
-  let read_loop p =
-    let session = Session.create () in
-    for _ = 1 to 2 * iters do
-      ignore (Pipeline.run_sql p ~session "SEL ID, V FROM RES WHERE ID = 1")
-    done
-  in
-  let p_off = Pipeline.create ~resil:(R.create ~enabled:false ()) () in
-  setup p_off;
-  let p_on = Pipeline.create () in
-  setup p_on;
-  (* one untimed pass each, so neither measurement pays the cold start *)
-  read_loop p_off;
-  read_loop p_on;
-  let t_off = time (fun () -> read_loop p_off) in
-  let t_on = time (fun () -> read_loop p_on) in
-  let overhead_pct = 100. *. (t_on -. t_off) /. t_off in
-  (* 2. seeded transient faults, fake clock: retries absorb the failures *)
-  let clock = R.fake_clock () in
-  let injector = Fault.create ~seed:11 ~sleep:clock.R.sleep () in
-  let p_fault = Pipeline.create ~fault:injector ~resil:(R.create ~clock ()) () in
-  setup p_fault;
-  Fault.random_transients injector ~p:0.1 ~first_n:((2 * iters) + 8);
-  let client_errors = ref 0 in
-  workload p_fault (fun _ -> incr client_errors);
-  let s = Pipeline.resilience_stats p_fault in
-  let inj_t, _, _ = Fault.injected injector in
-  (* 3. recovery latency: outage opens the breaker; after the fault lifts,
-     how long until the first statement succeeds again (the cooldown) *)
-  let policy =
-    {
-      R.retry =
-        { R.default_retry with max_attempts = 2; base_delay_s = 0.0005;
-          max_delay_s = 0.002 };
-      breaker =
-        { R.default_breaker with failure_threshold = 3; cooldown_s = 0.02 };
-      deadline_s = None;
-    }
-  in
-  let outage = Fault.create () in
-  let p_rec = Pipeline.create ~fault:outage ~resil:(R.create ~policy ()) () in
-  setup p_rec;
-  Fault.persistent_outage outage ~from_request:(Fault.requests_seen outage);
-  let outage_errors = ref 0 in
-  while Pipeline.breaker_state p_rec <> R.Open do
-    match Sql_error.protect (fun () -> Pipeline.run_sql p_rec "SEL ID FROM RES")
-    with
-    | Ok _ -> ()
-    | Error _ -> incr outage_errors
-  done;
-  Fault.clear outage;
-  let t0 = Unix.gettimeofday () in
-  let recovered = ref false in
-  while not !recovered do
-    match Sql_error.protect (fun () -> Pipeline.run_sql p_rec "SEL ID FROM RES")
-    with
-    | Ok _ -> recovered := true
-    | Error _ -> Thread.delay 0.002
-  done;
-  let recovery_s = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "{\"experiment\": \"resilience\", \"iterations\": %d, \
-     \"fault_free_overhead_pct\": %.2f, \"transient_p\": 0.1, \
-     \"injected_transients\": %d, \"attempts\": %d, \"retries\": %d, \
-     \"absorbed\": %d, \"client_errors\": %d, \"breaker_opens_outage\": %d, \
-     \"recovery_ms\": %.1f}\n"
-    iters overhead_pct inj_t s.R.st_attempts s.R.st_retries s.R.st_absorbed
-    !client_errors
-    (Pipeline.resilience_stats p_rec).R.st_breaker_opens
-    (recovery_s *. 1000.);
-  Printf.printf "faulty pipeline: %s\n" (Pipeline.health_to_string p_fault);
-  Printf.printf "recovered pipeline: %s\n" (Pipeline.health_to_string p_rec)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: observability overhead, noop sink vs enabled registry     *)
@@ -1352,239 +1236,6 @@ let dml_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Serving: the TCP front door under load (real sockets)                *)
-(* ------------------------------------------------------------------ *)
-
-(* Three phases against a live front door on loopback, replaying the
-   combined customer corpus (~14.2k distinct statements) with seeded
-   transient faults on the backend:
-
-     uncontended  load-gen concurrency = max_inflight: no shedding, no
-                  queueing; establishes the baseline service-time p99
-     overload     offered concurrency = 2x admission capacity
-                  (inflight + queue): the server must shed with wire codes
-                  2631/3897 — never a reset — while inflight stays capped
-                  and the service p99 of *admitted* statements holds
-     drain        SIGTERM mid-load: every admitted statement completes and
-                  is answered; queued/late statements shed with 3897
-
-   The acceptance assertions from the issue are checked here and the run
-   exits non-zero if any fails, so CI's smoke job enforces them. *)
-
-let serving () =
-  hr "Serving: TCP front door under load (uncontended / 2x overload / drain)";
-  let module Server = Hyperq_net.Server in
-  let module Admission = Hyperq_net.Admission in
-  let module Load_gen = Hyperq_net.Load_gen in
-  let module R = Hyperq_core.Resilience in
-  let module Fault = Hyperq_engine.Fault in
-  let module Gateway = Hyperq_core.Gateway in
-  let env_int name d =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> d
-  in
-  let env_float name d =
-    match Sys.getenv_opt name with Some s -> float_of_string s | None -> d
-  in
-  let queries = env_int "HYPERQ_SERVE_QUERIES" 4000 in
-  let inflight = env_int "HYPERQ_SERVE_INFLIGHT" 8 in
-  let fault_p = env_float "HYPERQ_SERVE_FAULT_P" 0.02 in
-  (* simulated backend round trip: without it the in-process engine answers
-     in microseconds and no load level can make admission queue or shed *)
-  let latency_s = env_float "HYPERQ_SERVE_LATENCY_S" 0.002 in
-  let corpus =
-    List.concat_map
-      (fun wl -> List.map fst wl.Customer.wl_queries)
-      (Customer.all ())
-  in
-  Printf.printf "corpus: %d distinct statements, %d to replay per phase\n%!"
-    (List.length corpus) queries;
-  (* fast client-visible retries: a transient fault costs ~1 ms, not the
-     production half-second, so tails stay comparable across phases *)
-  let policy =
-    {
-      R.retry =
-        {
-          R.default_retry with
-          max_attempts = 3;
-          base_delay_s = 0.0005;
-          max_delay_s = 0.002;
-        };
-      breaker = { R.default_breaker with failure_threshold = 1_000_000 };
-      deadline_s = None;
-    }
-  in
-  let boot ~admission ~faults =
-    let fault = Fault.create ~seed:11 () in
-    if faults then Fault.random_transients fault ~p:fault_p ~first_n:max_int;
-    let pipeline =
-      Pipeline.create ~request_latency_s:latency_s ~fault
-        ~resil:(R.create ~policy ()) ~obs:(Obs.create ()) ()
-    in
-    List.iter
-      (fun wl ->
-        List.iter
-          (fun sql -> ignore (Pipeline.run_sql pipeline sql))
-          wl.Customer.wl_setup)
-      (Customer.all ());
-    Server.start
-      ~config:{ Server.default_config with port = 0; admission }
-      (Gateway.create pipeline)
-  in
-  let load server ~workers ~n =
-    Load_gen.run
-      ~config:
-        {
-          Load_gen.default_config with
-          port = Server.port server;
-          workers;
-          sessions = max 16 (2 * workers);
-          total_queries = n;
-        }
-      ~corpus ()
-  in
-  (* --- phase 1: uncontended baseline --------------------------------- *)
-  let adm_uncontended =
-    {
-      Admission.default_config with
-      max_inflight = inflight;
-      max_queue = 4 * inflight;
-      queue_timeout_s = 5.;
-    }
-  in
-  let s1 = boot ~admission:adm_uncontended ~faults:true in
-  let r1 = load s1 ~workers:inflight ~n:queries in
-  let exec1 = Server.exec_snapshot s1 in
-  let p99_base = Obs.quantile exec1 0.99 in
-  ignore (Server.shutdown ~timeout_s:10. s1);
-  Printf.printf "uncontended: %s\n%!" (Load_gen.report_to_string r1);
-  (* --- phase 2: overload at 2x admission capacity --------------------- *)
-  let adm_overload =
-    {
-      Admission.default_config with
-      max_inflight = inflight;
-      max_queue = inflight;
-      queue_timeout_s = 0.25;
-    }
-  in
-  let s2 = boot ~admission:adm_overload ~faults:true in
-  let offered = 2 * (inflight + adm_overload.Admission.max_queue) in
-  let r2 = load s2 ~workers:offered ~n:queries in
-  let exec2 = Server.exec_snapshot s2 in
-  let p99_overload = Obs.quantile exec2 0.99 in
-  let st2 = Server.stats s2 in
-  ignore (Server.shutdown ~timeout_s:10. s2);
-  Printf.printf "overload(%dx%d): %s\n%!" offered inflight
-    (Load_gen.report_to_string r2);
-  Printf.printf
-    "  server: peak_inflight=%d sheds=%d (queue_full=%d timeout=%d \
-     session=%d) protocol_errors=%d\n%!"
-    st2.Server.sv_admission.Admission.st_peak_inflight
-    (Admission.shed_total st2.Server.sv_admission)
-    st2.Server.sv_admission.Admission.st_shed_queue_full
-    st2.Server.sv_admission.Admission.st_shed_queue_timeout
-    st2.Server.sv_admission.Admission.st_shed_session_limit
-    st2.Server.sv_protocol_errors;
-  (* --- phase 3: drain mid-load ---------------------------------------- *)
-  let s3 = boot ~admission:adm_overload ~faults:true in
-  let r3 = ref None in
-  let loader =
-    Thread.create
-      (fun () ->
-        r3 := Some (load s3 ~workers:(2 * inflight) ~n:(20 * queries)))
-      ()
-  in
-  (* fire the drain only once statements are demonstrably flowing, so the
-     report exercises the finish-and-answer path rather than an idle stop *)
-  let rec wait_started n =
-    if n = 0 then ()
-    else if (Server.stats s3).Server.sv_statements_done < queries / 4 then begin
-      Thread.delay 0.01;
-      wait_started (n - 1)
-    end
-  in
-  wait_started 500;
-  let dr = Server.shutdown ~drain:true ~timeout_s:15. s3 in
-  Thread.join loader;
-  let st3_drain_sheds =
-    match !r3 with
-    | Some r -> r.Load_gen.lr_shed_unavailable
-    | None -> 0
-  in
-  Printf.printf
-    "drain: drained=%b inflight_at_signal=%d completed=%d client_3897=%d\n%!"
-    dr.Server.dr_drained dr.Server.dr_inflight_at_signal
-    dr.Server.dr_completed st3_drain_sheds;
-  (* --- acceptance ------------------------------------------------------ *)
-  let shed_seen =
-    r2.Load_gen.lr_shed_transient + r2.Load_gen.lr_retries
-    + r2.Load_gen.lr_shed_unavailable
-    + Admission.shed_total st2.Server.sv_admission
-    > 0
-  in
-  (* small-sample grace: with a tiny smoke corpus a single scheduler blip
-     moves p99, so allow an absolute 50 ms floor on top of the 2x bound *)
-  let p99_ok = p99_overload <= Float.max (2. *. p99_base) (p99_base +. 0.05) in
-  let checks =
-    [
-      ("no_io_errors_uncontended", r1.Load_gen.lr_io_errors = 0);
-      ("no_io_errors_overload", r2.Load_gen.lr_io_errors = 0);
-      ("no_protocol_errors", st2.Server.sv_protocol_errors = 0);
-      ("sheds_are_structured", shed_seen);
-      ( "inflight_capped",
-        st2.Server.sv_admission.Admission.st_peak_inflight <= inflight );
-      ("admitted_p99_within_2x", p99_ok);
-      ("drain_completed_inflight", dr.Server.dr_drained);
-    ]
-  in
-  List.iter
-    (fun (name, ok) ->
-      Printf.printf "  %-28s %s\n" name (if ok then "ok" else "FAIL"))
-    checks;
-  let phase_json name (r : Load_gen.report) =
-    Printf.sprintf
-      "\"%s\": {\"submitted\": %d, \"ok\": %d, \"shed_2631\": %d, \
-       \"shed_3897\": %d, \"failures\": %d, \"io_errors\": %d, \"retries\": \
-       %d, \"wall_s\": %.3f, \"qps\": %.1f, \"p50_ms\": %.3f, \"p90_ms\": \
-       %.3f, \"p99_ms\": %.3f}"
-      name r.Load_gen.lr_submitted r.Load_gen.lr_ok
-      r.Load_gen.lr_shed_transient r.Load_gen.lr_shed_unavailable
-      r.Load_gen.lr_other_failures r.Load_gen.lr_io_errors
-      r.Load_gen.lr_retries r.Load_gen.lr_wall_s r.Load_gen.lr_qps
-      r.Load_gen.lr_p50_ms r.Load_gen.lr_p90_ms r.Load_gen.lr_p99_ms
-  in
-  write_json "BENCH_serving.json"
-    (Printf.sprintf
-       "{\"experiment\": \"serving\", \"queries\": %d, \"max_inflight\": %d, \
-        \"offered_concurrency\": %d, \"fault_p\": %g, %s, %s, \"server\": \
-        {\"peak_inflight\": %d, \"shed_queue_full\": %d, \
-        \"shed_queue_timeout\": %d, \"shed_draining\": %d, \
-        \"shed_session_limit\": %d, \"protocol_errors\": %d, \
-        \"exec_p99_base_ms\": %.3f, \"exec_p99_overload_ms\": %.3f}, \
-        \"drain\": {\"drained\": %b, \"inflight_at_signal\": %d, \
-        \"completed\": %d, \"client_3897\": %d}, \"checks\": {%s}, \
-        \"pass\": %b}"
-       queries inflight offered fault_p
-       (phase_json "uncontended" r1)
-       (phase_json "overload" r2)
-       st2.Server.sv_admission.Admission.st_peak_inflight
-       st2.Server.sv_admission.Admission.st_shed_queue_full
-       st2.Server.sv_admission.Admission.st_shed_queue_timeout
-       st2.Server.sv_admission.Admission.st_shed_draining
-       st2.Server.sv_admission.Admission.st_shed_session_limit
-       st2.Server.sv_protocol_errors (p99_base *. 1000.)
-       (p99_overload *. 1000.) dr.Server.dr_drained
-       dr.Server.dr_inflight_at_signal dr.Server.dr_completed st3_drain_sheds
-       (String.concat ", "
-          (List.map
-             (fun (n, ok) -> Printf.sprintf "\"%s\": %b" n ok)
-             checks))
-       (List.for_all snd checks));
-  if not (List.for_all snd checks) then begin
-    Printf.eprintf "serving: acceptance check failed\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Rule packs: screening cost, no-match overhead, antipattern speedup   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1761,13 +1412,11 @@ let experiments =
     ("targets", targets);
     ("ablation", ablation);
     ("cache", cache);
-    ("resilience", resilience);
     ("telemetry", telemetry);
     ("analyze", analyze);
     ("exec", exec_bench);
     ("dml", dml_bench);
     ("parallel", parallel_bench);
-    ("serving", serving);
     ("rules", rules_bench);
     ("micro", micro);
   ]

@@ -298,9 +298,23 @@ let specs_of_schema (schema : Xtra.schema) =
       })
     schema
 
-let emulate_recursive_query r ~name ~seed ~step ~body =
+let emulate_recursive_query r ~fresh_id ~name ~seed ~step ~body =
   let cte_schema = Xtra.schema_of seed in
   let col_names = List.map (fun (c : Xtra.col) -> c.Xtra.name) cte_schema in
+  (* the delta table takes its column names from the step's select items;
+     a CTE column list may rename them, so project the step onto the CTE's
+     names (keeping the step's types) before each CREATE TABLE AS *)
+  let step =
+    Xtra.Project
+      {
+        input = step;
+        proj =
+          List.map2
+            (fun (c : Xtra.col) (s : Xtra.col) ->
+              ({ s with Xtra.id = fresh_id (); name = c.Xtra.name }, Xtra.Col_ref s))
+            cte_schema (Xtra.schema_of step);
+      }
+  in
   let work = r.fresh_name "WORKTABLE" in
   let temp = r.fresh_name "TEMPTABLE" in
   (* if anything below fails mid-recursion, the middle-tier work tables —

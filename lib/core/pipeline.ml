@@ -96,8 +96,7 @@ let all_error_kinds =
     Sql_error.Internal_error;
   ]
 
-(* pre-built metric handles; one set per pipeline so scale-out replicas
-   sharing a registry stay distinguishable through their label sets *)
+(* pre-built metric handles, one set per pipeline *)
 type telemetry = {
   obs : Obs.t;
   stage_hists : Obs.histogram array;  (** indexed by the stage order above *)
@@ -159,95 +158,90 @@ let error_kind_label kind =
    The plan cache and the resilience layer keep their own counters (their
    locks are fine-grained and pre-date the registry); the registry samples
    them at render time, so [cache_stats]/[resilience_stats] and \metrics
-   read the same numbers with no dual-writing. [labels] distinguishes
-   replicas sharing one registry. Collector closures take subsystem locks
-   under the registry lock, so *record* calls must never run while holding
-   a subsystem lock (see [bump_counters]). *)
-let make_telemetry obs ~labels cache resil rules =
+   read the same numbers with no dual-writing. Collector closures take
+   subsystem locks under the registry lock, so *record* calls must never
+   run while holding a subsystem lock (see [bump_counters]). *)
+let make_telemetry obs cache resil rules =
   let tel =
     {
       obs;
       stage_hists =
         (let h stage =
-           Obs.histogram obs ~labels:(("stage", stage_name stage) :: labels)
+           Obs.histogram obs ~labels:[ ("stage", stage_name stage) ]
              ~help:"Per-stage pipeline latency (Figure 9 derives from this)"
              "hyperq_pipeline_stage_seconds"
          in
          Array.of_list (List.map h all_stages));
       query_hist =
-        Obs.histogram obs ~labels
+        Obs.histogram obs
           ~help:"End-to-end statement latency through the pipeline"
           "hyperq_query_seconds";
       queries_total =
-        Obs.counter obs ~labels ~help:"Statements run through the pipeline"
+        Obs.counter obs ~help:"Statements run through the pipeline"
           "hyperq_queries_total";
       retries_total =
-        Obs.counter obs ~labels ~help:"Backend retries taken by statements"
+        Obs.counter obs ~help:"Backend retries taken by statements"
           "hyperq_backend_retries_total";
       error_counters =
         List.map
           (fun kind ->
             ( kind,
               Obs.counter obs
-                ~labels:(("kind", error_kind_label kind) :: labels)
+                ~labels:[ ("kind", error_kind_label kind) ]
                 ~help:"Statements failed, by error kind" "hyperq_errors_total"
             ))
           all_error_kinds;
       validator_runs_total =
-        Obs.counter obs ~labels
+        Obs.counter obs
           ~help:"Plan validator invocations (post-bind and per transform pass)"
           "hyperq_validator_runs_total";
       validator_violations_total =
-        Obs.counter obs ~labels
+        Obs.counter obs
           ~help:"Invariant violations reported by the plan validator"
           "hyperq_validator_violations_total";
     }
   in
-  let pull rows = List.map (fun (ls, v) -> (ls @ labels, v)) rows in
   Obs.register_collector obs ~kind:`Counter
     ~help:"Plan cache events (sampled from the cache's own counters)"
     "hyperq_plan_cache_events_total" (fun () ->
       let s = Plan_cache.stats cache in
-      pull
-        [
-          ([ ("event", "hit") ], float_of_int s.Plan_cache.hits);
-          ([ ("event", "miss") ], float_of_int s.Plan_cache.misses);
-          ([ ("event", "eviction") ], float_of_int s.Plan_cache.evictions);
-          ( [ ("event", "invalidation") ],
-            float_of_int s.Plan_cache.invalidations );
-        ]);
+      [
+        ([ ("event", "hit") ], float_of_int s.Plan_cache.hits);
+        ([ ("event", "miss") ], float_of_int s.Plan_cache.misses);
+        ([ ("event", "eviction") ], float_of_int s.Plan_cache.evictions);
+        ( [ ("event", "invalidation") ],
+          float_of_int s.Plan_cache.invalidations );
+      ]);
   Obs.register_collector obs ~kind:`Gauge ~help:"Plan cache resident entries"
     "hyperq_plan_cache_entries" (fun () ->
       let s = Plan_cache.stats cache in
-      pull [ ([], float_of_int s.Plan_cache.entries) ]);
+      [ ([], float_of_int s.Plan_cache.entries) ]);
   Obs.register_collector obs ~kind:`Counter
     ~help:"Translation seconds saved by plan cache hits"
     "hyperq_plan_cache_saved_seconds_total" (fun () ->
       let s = Plan_cache.stats cache in
-      pull
-        [
-          ([ ("phase", "translate") ], s.Plan_cache.saved_translate_s);
-          ([ ("phase", "bind") ], s.Plan_cache.saved_bind_s);
-        ]);
+      [
+        ([ ("phase", "translate") ], s.Plan_cache.saved_translate_s);
+        ([ ("phase", "bind") ], s.Plan_cache.saved_bind_s);
+      ]);
   Obs.register_collector obs ~kind:`Counter
     ~help:"Resilience events (sampled from the executor's own counters)"
     "hyperq_resilience_events_total" (fun () ->
       let s = Resilience.stats resil in
-      pull
-        [
-          ([ ("event", "attempt") ], float_of_int s.Resilience.st_attempts);
-          ([ ("event", "retry") ], float_of_int s.Resilience.st_retries);
-          ([ ("event", "absorbed") ], float_of_int s.Resilience.st_absorbed);
-          ([ ("event", "exhausted") ], float_of_int s.Resilience.st_exhausted);
-          ( [ ("event", "deadline_exceeded") ],
-            float_of_int s.Resilience.st_deadline_exceeded );
-          ( [ ("event", "rejected_open") ],
-            float_of_int s.Resilience.st_rejected_open );
-          ( [ ("event", "breaker_open") ],
-            float_of_int s.Resilience.st_breaker_opens );
-          ( [ ("event", "breaker_close") ],
-            float_of_int s.Resilience.st_breaker_closes );
-        ]);
+      [
+        ([ ("event", "attempt") ], float_of_int s.Resilience.st_attempts);
+        ([ ("event", "retry") ], float_of_int s.Resilience.st_retries);
+        ([ ("event", "absorbed") ], float_of_int s.Resilience.st_absorbed);
+        ([ ("event", "exhausted") ], float_of_int s.Resilience.st_exhausted);
+        ( [ ("event", "deadline_exceeded") ],
+          float_of_int s.Resilience.st_deadline_exceeded );
+        ( [ ("event", "rejected_open") ],
+          float_of_int s.Resilience.st_rejected_open );
+        ( [ ("event", "breaker_open") ],
+          float_of_int s.Resilience.st_breaker_opens );
+        ( [ ("event", "breaker_close") ],
+          float_of_int s.Resilience.st_breaker_closes );
+      ]);
   Obs.register_collector obs ~kind:`Gauge
     ~help:"Circuit breaker state (0 closed, 1 half-open, 2 open)"
     "hyperq_breaker_state" (fun () ->
@@ -257,48 +251,44 @@ let make_telemetry obs ~labels cache resil rules =
         | Resilience.Half_open -> 1.
         | Resilience.Open -> 2.
       in
-      pull [ ([], v) ]);
+      [ ([], v) ]);
   Obs.register_collector obs ~kind:`Counter
     ~help:
       "Vectorized-executor events (sampled from the engine's own counters)"
     "hyperq_exec_batch_events_total" (fun () ->
-      pull
-        (List.map
-           (fun (k, v) -> ([ ("event", k) ], float_of_int v))
-           (Hyperq_engine.Batch_exec.counters ())));
+      List.map
+        (fun (k, v) -> ([ ("event", k) ], float_of_int v))
+        (Hyperq_engine.Batch_exec.counters ()));
   Obs.register_collector obs ~kind:`Counter
     ~help:
       "Morsel scheduler counters (parallel runs, bodies, barrier wait, \
        per-domain morsel counts)"
     "hyperq_exec_morsel_events_total" (fun () ->
-      pull
-        (List.map
-           (fun (k, v) -> ([ ("event", k) ], v))
-           (Hyperq_engine.Morsel.stats ())));
+      List.map
+        (fun (k, v) -> ([ ("event", k) ], v))
+        (Hyperq_engine.Morsel.stats ()));
   Obs.register_collector obs ~kind:`Gauge
     ~help:"Rewrite-rule packs currently loaded in the registry"
     "hyperq_rules_packs_loaded" (fun () ->
-      pull [ ([], float_of_int (List.length (Rules_registry.list_packs rules))) ]);
+      [ ([], float_of_int (List.length (Rules_registry.list_packs rules))) ]);
   Obs.register_collector obs ~kind:`Counter
     ~help:"Rule-pack registry events (loads, drops, screening rejections)"
     "hyperq_rules_events_total" (fun () ->
-      pull
-        (List.map
-           (fun (event, n) -> ([ ("event", event) ], float_of_int n))
-           (Rules_registry.counters rules)));
+      List.map
+        (fun (event, n) -> ([ ("event", event) ], float_of_int n))
+        (Rules_registry.counters rules));
   Obs.register_collector obs ~kind:`Counter
     ~help:"Per-rule fire counts of loaded rule packs (since load)"
     "hyperq_rules_fires_total" (fun () ->
-      pull
-        (List.map
-           (fun (pack, rule, n) ->
-             ([ ("pack", pack); ("rule", rule) ], float_of_int n))
-           (Rules_registry.fire_counts rules)));
+      List.map
+        (fun (pack, rule, n) ->
+          ([ ("pack", pack); ("rule", rule) ], float_of_int n))
+        (Rules_registry.fire_counts rules));
   tel
 
 let create ?(cap = Capability.ansi_engine) ?(request_latency_s = 0.)
-    ?(plan_cache_capacity = 512) ?fault ?resil ?obs ?(obs_labels = [])
-    ?(validate = false) ?(infer = true) () =
+    ?(plan_cache_capacity = 512) ?fault ?resil ?obs ?(validate = false)
+    ?(infer = true) () =
   let backend = Backend.create () in
   let resil =
     match resil with Some r -> r | None -> Resilience.create ()
@@ -318,7 +308,7 @@ let create ?(cap = Capability.ansi_engine) ?(request_latency_s = 0.)
     resil;
     rules;
     default_rule_packs = [];
-    tel = make_telemetry obs ~labels:obs_labels cache resil rules;
+    tel = make_telemetry obs cache resil rules;
     clock = Obs.clock obs;
     lock = Mutex.create ();
     validate;
@@ -732,7 +722,8 @@ and emulate cc (c : Compiler.t) e : Backend.result =
   | Compiler.Recursive_query, _, Some st -> (
       match Compiler.recursive_parts st with
       | Some (name, seed, step, body) ->
-          Emulation.emulate_recursive_query runner ~name ~seed ~step ~body
+          Emulation.emulate_recursive_query runner ~fresh_id:(fresh_ids ()) ~name ~seed
+            ~step ~body
       | None -> Sql_error.internal_error "recursive route without a top-level CTE")
   | Compiler.Merge, _, Some st -> Emulation.emulate_merge runner ~fresh_id:(fresh_ids ()) st
   | Compiler.Set_table_insert, _, Some (Xtra.Insert { target; target_cols; source }) ->
@@ -900,8 +891,8 @@ let run_text t ~session ~params ~sql_text ~pre_s ~parse : outcome =
   in
   finish_outcome cc ~sql_text result
 
-(** Run an already-parsed statement (used by the gateway, scripts and
-    scale-out). Checks the plan cache by [sql_text] — a hit skips
+(** Run an already-parsed statement (used by the gateway and scripts).
+    Checks the plan cache by [sql_text] — a hit skips
     bind/transform/serialize; the parse already paid for by the caller is
     reported via [parse_s]. *)
 let run_statement_ast t ?session ?(params = []) ?(parse_s = 0.) ~sql_text ast : outcome =

@@ -99,8 +99,8 @@ type outcome = {
 }
 
 (** [create ~cap ~request_latency_s ~plan_cache_capacity ~fault ~resil ~obs
-    ~obs_labels ()] builds a pipeline over a fresh backend engine. [cap]
-    selects the target profile (default: the executing [ansi_engine]);
+    ()] builds a pipeline over a fresh backend engine. [cap] selects the
+    target profile (default: the executing [ansi_engine]);
     [request_latency_s] simulates a per-request round trip (default 0; used
     by the DML-batching ablation); [plan_cache_capacity] bounds the
     translation cache (default 512; 0 disables caching); [fault] installs a
@@ -108,11 +108,10 @@ type outcome = {
     resilience executor (default: {!Resilience.create} with the default
     policy and real clock). [obs] supplies the observability registry
     (default: a fresh enabled one; pass {!Hyperq_obs.Obs.noop} to disable
-    telemetry); [obs_labels] is baked into every metric this pipeline
-    registers (scale-out passes [("replica", i)]). The pipeline's stage
-    timing runs on the registry's clock. [infer] (default true) appends
-    the {!Hyperq_analyze.Infer} relational passes (contradiction pruning,
-    outer-join strengthening) to every Transformer run. *)
+    telemetry). The pipeline's stage timing runs on the registry's clock.
+    [infer] (default true) appends the {!Hyperq_analyze.Infer} relational
+    passes (contradiction pruning, outer-join strengthening) to every
+    Transformer run. *)
 val create :
   ?cap:Hyperq_transform.Capability.t ->
   ?request_latency_s:float ->
@@ -120,7 +119,6 @@ val create :
   ?fault:Hyperq_engine.Fault.t ->
   ?resil:Resilience.t ->
   ?obs:Hyperq_obs.Obs.t ->
-  ?obs_labels:(string * string) list ->
   ?validate:bool ->
   ?infer:bool ->
   unit ->
@@ -144,7 +142,7 @@ val validator_diagnostics : t -> Hyperq_analyze.Diag.t list
 val run_sql :
   t -> ?session:Session.t -> ?params:Value.t list -> string -> outcome
 
-(** Run an already-parsed statement (used by the gateway and scale-out).
+(** Run an already-parsed statement (used by the gateway and scripts).
     [parse_s] carries the caller's parse cost into the translate timing
     bucket. *)
 val run_statement_ast :

@@ -2,8 +2,8 @@
     breaking, and per-statement deadline budgets (see resilience.mli).
 
     Everything time- or randomness-dependent goes through an injectable
-    {!clock} and a seeded LCG, so a test (or the bench's seeded fault
-    schedule) observes the exact same retry timeline on every run. *)
+    {!clock} and a seeded LCG, so a test observes the exact same retry
+    timeline on every run. *)
 
 open Hyperq_sqlvalue
 
@@ -28,9 +28,6 @@ type retry_policy = {
 
 let default_retry =
   { max_attempts = 4; base_delay_s = 0.005; multiplier = 2.0; max_delay_s = 0.25; jitter = 0.2 }
-
-let no_retry =
-  { max_attempts = 1; base_delay_s = 0.; multiplier = 1.; max_delay_s = 0.; jitter = 0. }
 
 type breaker_config = {
   failure_threshold : int;
@@ -70,7 +67,6 @@ type stats = {
 type t = {
   pol : policy;
   clock : clock;
-  on : bool;
   lock : Mutex.t;
   mutable rng : int64;
   (* breaker state, guarded by [lock] *)
@@ -92,12 +88,10 @@ type t = {
   mutable breaker_closes : int;
 }
 
-let create ?(policy = default_policy) ?(seed = 0x5EED) ?(clock = real_clock)
-    ?(enabled = true) () =
+let create ?(policy = default_policy) ?(seed = 0x5EED) ?(clock = real_clock) () =
   {
     pol = policy;
     clock;
-    on = enabled;
     lock = Mutex.create ();
     rng = Int64.of_int seed;
     state = Closed;
@@ -117,8 +111,6 @@ let create ?(policy = default_policy) ?(seed = 0x5EED) ?(clock = real_clock)
 
 let policy t = t.pol
 let now t = t.clock.now ()
-let clock t = t.clock
-let enabled t = t.on
 
 let locked t f =
   Mutex.lock t.lock;
@@ -148,15 +140,6 @@ let trip_open t =
   t.half_open_successes <- 0;
   t.half_open_inflight <- 0
 
-(* whether a request issued now would be admitted, without mutating state *)
-let would_admit_unlocked t =
-  match t.state with
-  | Closed -> true
-  | Half_open -> t.half_open_inflight < t.pol.breaker.half_open_probes
-  | Open -> t.clock.now () -. t.opened_at >= t.pol.breaker.cooldown_s
-
-let would_admit t = locked t (fun () -> would_admit_unlocked t)
-
 (* Admit one request: promotes Open -> Half_open once the cooldown elapses.
    In Half_open, at most [half_open_probes] trial requests may be in flight
    at once — concurrent callers beyond that are shed, so a recovering
@@ -179,7 +162,7 @@ let admit_unlocked t =
       end
       else false
 
-let record_success_unlocked t =
+let note_success_unlocked t =
   t.consecutive_failures <- 0;
   match t.state with
   | Closed -> ()
@@ -195,7 +178,7 @@ let record_success_unlocked t =
       t.state <- Closed;
       t.breaker_closes <- t.breaker_closes + 1
 
-let record_failure_unlocked t =
+let note_failure_unlocked t =
   t.consecutive_failures <- t.consecutive_failures + 1;
   match t.state with
   | Half_open -> trip_open t (* failed probe: reopen, restart the cooldown *)
@@ -204,8 +187,6 @@ let record_failure_unlocked t =
         trip_open t
   | Open -> ()
 
-let record_success t = locked t (fun () -> record_success_unlocked t)
-let record_failure t = locked t (fun () -> record_failure_unlocked t)
 let breaker_state t = locked t (fun () -> t.state)
 
 (* --- the policy-driven call wrapper ------------------------------------ *)
@@ -215,84 +196,81 @@ let transient (e : Sql_error.t) = e.Sql_error.kind = Sql_error.Transient_error
 type denial = Denied_open of float | Denied_probe_race
 
 let call t ?deadline_at ?(on_retry = fun () -> ()) f =
-  if not t.on then f ()
-  else begin
-    let deadline_at =
-      match deadline_at with
-      | Some _ as d -> d
-      | None -> Option.map (fun d -> t.clock.now () +. d) t.pol.deadline_s
+  let deadline_at =
+    match deadline_at with
+    | Some _ as d -> d
+    | None -> Option.map (fun d -> t.clock.now () +. d) t.pol.deadline_s
+  in
+  (* a statement whose budget elapsed before it ever reached the backend
+     (queued past its deadline at the front door) fails fast: no backend
+     attempt is spent on work nobody is waiting for *)
+  (match deadline_at with
+  | Some dl when t.clock.now () > dl ->
+      locked t (fun () -> t.deadline_exceeded <- t.deadline_exceeded + 1);
+      Sql_error.unavailable
+        "statement deadline exceeded before first attempt (%.3fs past \
+         budget at admission)"
+        (t.clock.now () -. dl)
+  | _ -> ());
+  let rec attempt n =
+    let verdict =
+      locked t (fun () ->
+          let was_half_open = t.state = Half_open in
+          if admit_unlocked t then begin
+            t.attempts <- t.attempts + 1;
+            None
+          end
+          else begin
+            t.rejected_open <- t.rejected_open + 1;
+            if was_half_open then Some Denied_probe_race
+            else
+              Some
+                (Denied_open
+                   (t.pol.breaker.cooldown_s
+                   -. (t.clock.now () -. t.opened_at)))
+          end)
     in
-    (* a statement whose budget elapsed before it ever reached the backend
-       (queued past its deadline at the front door) fails fast: no backend
-       attempt is spent on work nobody is waiting for *)
-    (match deadline_at with
-    | Some dl when t.clock.now () > dl ->
-        locked t (fun () -> t.deadline_exceeded <- t.deadline_exceeded + 1);
+    match verdict with
+    | Some Denied_probe_race ->
         Sql_error.unavailable
-          "statement deadline exceeded before first attempt (%.3fs past \
-           budget at admission)"
-          (t.clock.now () -. dl)
-    | _ -> ());
-    let rec attempt n =
-      let verdict =
-        locked t (fun () ->
-            let was_half_open = t.state = Half_open in
-            if admit_unlocked t then begin
-              t.attempts <- t.attempts + 1;
-              None
-            end
-            else begin
-              t.rejected_open <- t.rejected_open + 1;
-              if was_half_open then Some Denied_probe_race
-              else
-                Some
-                  (Denied_open
-                     (t.pol.breaker.cooldown_s
-                     -. (t.clock.now () -. t.opened_at)))
-            end)
-      in
-      match verdict with
-      | Some Denied_probe_race ->
-          Sql_error.unavailable
-            "circuit breaker half-open: recovery probe already in flight"
-      | Some (Denied_open cooldown_left) ->
-          Sql_error.unavailable
-            "circuit breaker open: backend quarantined for another %.3fs"
-            (Float.max 0. cooldown_left)
-      | None -> (
-        match f () with
-        | v ->
-            locked t (fun () ->
-                record_success_unlocked t;
-                if n > 1 then t.absorbed <- t.absorbed + 1);
-            v
-        | exception Sql_error.Error e when transient e ->
-            locked t (fun () -> record_failure_unlocked t);
-            if n >= t.pol.retry.max_attempts then begin
-              locked t (fun () -> t.exhausted <- t.exhausted + 1);
-              Sql_error.unavailable "retries exhausted after %d attempt(s); last: %s"
-                n (Sql_error.to_string e)
-            end
-            else begin
-              let delay = locked t (fun () -> backoff_delay_unlocked t ~attempt:n) in
-              match deadline_at with
-              | Some dl when t.clock.now () +. delay > dl ->
-                  locked t (fun () ->
-                      t.deadline_exceeded <- t.deadline_exceeded + 1);
-                  Sql_error.unavailable
-                    "statement deadline exceeded after %d attempt(s); last: %s"
-                    n (Sql_error.to_string e)
-              | _ ->
-                  t.clock.sleep delay;
-                  locked t (fun () -> t.retries <- t.retries + 1);
-                  (* outside [lock]: the hook may record telemetry, whose
-                     registry lock must never nest inside ours *)
-                  on_retry ();
-                  attempt (n + 1)
-            end)
-    in
-    attempt 1
-  end
+          "circuit breaker half-open: recovery probe already in flight"
+    | Some (Denied_open cooldown_left) ->
+        Sql_error.unavailable
+          "circuit breaker open: backend quarantined for another %.3fs"
+          (Float.max 0. cooldown_left)
+    | None -> (
+      match f () with
+      | v ->
+          locked t (fun () ->
+              note_success_unlocked t;
+              if n > 1 then t.absorbed <- t.absorbed + 1);
+          v
+      | exception Sql_error.Error e when transient e ->
+          locked t (fun () -> note_failure_unlocked t);
+          if n >= t.pol.retry.max_attempts then begin
+            locked t (fun () -> t.exhausted <- t.exhausted + 1);
+            Sql_error.unavailable "retries exhausted after %d attempt(s); last: %s"
+              n (Sql_error.to_string e)
+          end
+          else begin
+            let delay = locked t (fun () -> backoff_delay_unlocked t ~attempt:n) in
+            match deadline_at with
+            | Some dl when t.clock.now () +. delay > dl ->
+                locked t (fun () ->
+                    t.deadline_exceeded <- t.deadline_exceeded + 1);
+                Sql_error.unavailable
+                  "statement deadline exceeded after %d attempt(s); last: %s"
+                  n (Sql_error.to_string e)
+            | _ ->
+                t.clock.sleep delay;
+                locked t (fun () -> t.retries <- t.retries + 1);
+                (* outside [lock]: the hook may record telemetry, whose
+                   registry lock must never nest inside ours *)
+                on_retry ();
+                attempt (n + 1)
+          end)
+  in
+  attempt 1
 
 let stats t =
   locked t (fun () ->

@@ -21,8 +21,6 @@ type clock = Hyperq_obs.Obs.clock = {
   sleep : float -> unit;
 }
 
-val real_clock : clock
-
 (** A virtual clock starting at [start] (default 0): [sleep d] just advances
     [now] by [d]. *)
 val fake_clock : ?start:float -> unit -> clock
@@ -36,7 +34,6 @@ type retry_policy = {
 }
 
 val default_retry : retry_policy
-val no_retry : retry_policy
 
 type breaker_config = {
   failure_threshold : int;
@@ -69,29 +66,17 @@ val default_policy : policy
 
 type t
 
-(** [create ~policy ~seed ~clock ~enabled ()] builds one resilience executor
-    (one per backend: the breaker state is per-target). [seed] fixes the
-    jitter RNG; [enabled:false] turns {!call} into a zero-cost passthrough
-    (used to measure the fault-free overhead of the layer itself). *)
-val create :
-  ?policy:policy -> ?seed:int -> ?clock:clock -> ?enabled:bool -> unit -> t
+(** [create ~policy ~seed ~clock ()] builds one resilience executor (one
+    per backend: the breaker state is per-target). [seed] fixes the jitter
+    RNG. *)
+val create : ?policy:policy -> ?seed:int -> ?clock:clock -> unit -> t
 
 val policy : t -> policy
 val now : t -> float
 
-(** The executor's injected time source (shared with telemetry spans). *)
-val clock : t -> clock
-
-val enabled : t -> bool
-
 (** Current breaker state ([Open] is reported until a call actually probes,
     even if the cooldown has elapsed). *)
 val breaker_state : t -> breaker_state
-
-(** [would_admit t] — whether a request issued now would reach the backend
-    (closed, half-open, or open with cooldown elapsed). Non-mutating; used
-    by the scale-out router to skip quarantined replicas. *)
-val would_admit : t -> bool
 
 (** The backoff delay after the [attempt]-th failure (1-based), jittered by
     the executor's deterministic RNG. *)
@@ -124,9 +109,3 @@ type stats = {
 
 val stats : t -> stats
 val stats_to_string : t -> string
-
-(** Manual breaker feedback, for callers that talk to the backend outside
-    {!call} (the scale-out read router). *)
-val record_success : t -> unit
-
-val record_failure : t -> unit

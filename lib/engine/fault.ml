@@ -10,28 +10,21 @@ type fault =
 type t = {
   lock : Mutex.t;
   sleep : float -> unit;
-  mutable rng : int64;
   mutable request_index : int;  (** requests seen so far *)
   mutable scheduled : (int * fault) list;  (** explicit per-index faults *)
   mutable persistent_from : int option;
-  mutable transient_p : float;
-  mutable transient_upto : int;  (** random transients apply below this index *)
   mutable n_transient : int;
   mutable n_persistent : int;
   mutable n_latency : int;
 }
 
-let create ?(seed = 0xFA17) ?(sleep = fun s -> if s > 0. then Unix.sleepf s) ()
-    =
+let create ?(sleep = fun s -> if s > 0. then Unix.sleepf s) () =
   {
     lock = Mutex.create ();
     sleep;
-    rng = Int64.of_int seed;
     request_index = 0;
     scheduled = [];
     persistent_from = None;
-    transient_p = 0.;
-    transient_upto = 0;
     n_transient = 0;
     n_persistent = 0;
     n_latency = 0;
@@ -44,26 +37,13 @@ let locked t f =
 let schedule t ~at fault =
   locked t (fun () -> t.scheduled <- (at, fault) :: t.scheduled)
 
-let random_transients t ~p ~first_n =
-  locked t (fun () ->
-      t.transient_p <- p;
-      t.transient_upto <- t.request_index + first_n)
-
 let persistent_outage t ~from_request =
   locked t (fun () -> t.persistent_from <- Some from_request)
 
 let clear t =
   locked t (fun () ->
       t.scheduled <- [];
-      t.persistent_from <- None;
-      t.transient_p <- 0.;
-      t.transient_upto <- 0)
-
-(* same LCG as the resilience layer; seeded independently *)
-let rand01 t =
-  t.rng <- Int64.add (Int64.mul t.rng 6364136223846793005L) 1442695040888963407L;
-  let bits = Int64.to_int (Int64.shift_right_logical t.rng 34) land 0x3FFFFFFF in
-  float_of_int bits /. 1073741824.0
+      t.persistent_from <- None)
 
 let check t =
   let decision =
@@ -76,10 +56,7 @@ let check t =
           | None -> (
               match t.persistent_from with
               | Some from when idx >= from -> Some Persistent
-              | _ ->
-                  if idx < t.transient_upto && rand01 t < t.transient_p then
-                    Some Transient
-                  else None)
+              | _ -> None)
         in
         (match fault with
         | Some Transient -> t.n_transient <- t.n_transient + 1

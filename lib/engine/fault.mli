@@ -1,12 +1,11 @@
 (** Fault injection for the backend boundary.
 
     A {!t} sits on the request path between the ODBC Server and the target
-    engine: before each request is forwarded, {!check} consults a seeded
+    engine: before each request is forwarded, {!check} consults a
     schedule and may raise a transient error, raise a persistent-outage
     error, or inject a latency spike. Faults are indexed by the backend
-    request counter, so a given seed + schedule reproduces the exact same
-    failure timeline — which is what makes the resilience tests and the
-    [resilience] bench deterministic.
+    request counter, so a given schedule reproduces the exact same failure
+    timeline — which is what makes the resilience tests deterministic.
 
     Injected errors carry {!Hyperq_sqlvalue.Sql_error.kind}
     [Transient_error]: a persistently-failing backend looks to the caller
@@ -20,17 +19,12 @@ type fault =
 
 type t
 
-(** [create ~seed ~sleep ()] — an inactive injector. [seed] drives the
-    {!random_transients} schedule; [sleep] implements latency spikes
-    (injectable so tests need not really wait). *)
-val create : ?seed:int -> ?sleep:(float -> unit) -> unit -> t
+(** [create ~sleep ()] — an inactive injector. [sleep] implements latency
+    spikes (injectable so tests need not really wait). *)
+val create : ?sleep:(float -> unit) -> unit -> t
 
 (** Inject [fault] when the request counter reaches [at] (0-based). *)
 val schedule : t -> at:int -> fault -> unit
-
-(** Each upcoming request in [0, first_n) (by absolute request index) fails
-    transiently with probability [p], decided by the injector's seeded RNG. *)
-val random_transients : t -> p:float -> first_n:int -> unit
 
 (** Every request from [from_request] on fails (a backend outage). *)
 val persistent_outage : t -> from_request:int -> unit

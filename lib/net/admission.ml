@@ -1,7 +1,7 @@
 (** Admission control for the TCP front door (see admission.mli).
 
     A classic bounded-queue semaphore with overload shedding and a drain
-    mode. The invariants the load harness asserts live here:
+    mode. The invariants the serving tests assert live here:
 
     - [inflight] never exceeds [max_inflight];
     - a statement waits at most [queue_timeout_s] for a slot and at most

@@ -42,8 +42,8 @@ val port : t -> int
 val admission : t -> Admission.t
 val gateway : t -> Hyperq_core.Gateway.t
 
-(** Service-time histogram of admitted statements (queue wait excluded) —
-    the load harness asserts its p99 against the uncontended baseline. *)
+(** Service-time histogram of admitted statements (queue wait excluded);
+    the wire benchmark reads it at stop. *)
 val exec_snapshot : t -> Hyperq_obs.Obs.histogram_snapshot
 
 (** Open client connections right now. *)

@@ -1,11 +1,12 @@
 (** Blocking TCP client for the WP-A protocol (see wire_client.mli).
 
-    This is the load harness's view of the server: it speaks the same
-    frames a real Teradata client library would (logon handshake, run,
-    response parcels, logoff) over a real socket, and classifies failures
-    the way the PR-2 client resilience layer does — a structured
-    [Failure { code }] parcel is a {e protocol-level} answer (2631 retry /
-    3897 go-away), anything that breaks the byte stream is an [Io_error]. *)
+    This is the tests' and the wire benchmark's view of the server: it
+    speaks the same frames a real Teradata client library would (logon
+    handshake, run, response parcels, logoff) over a real socket, and
+    classifies failures the way the client-side resilience layer does — a
+    structured [Failure { code }] parcel is a {e protocol-level} answer
+    (2631 retry / 3897 go-away), anything that breaks the byte stream is
+    an [Io_error]. *)
 
 open Hyperq_sqlvalue
 module Message = Hyperq_wire.Message

@@ -1,12 +1,11 @@
 (** Blocking TCP WP-A client: what a Teradata client library looks like to
-    the front door. Used by the serving load harness and the CI smoke test.
+    the front door. Used by the wire benchmark and the tests.
 
     Failure classification mirrors the client-side resilience contract:
     [Failure_code] is a structured protocol answer (2631 = transient, shed
     under overload, retry with backoff; 3897 = unavailable/draining, fail
     over), while [Io_error] is a broken byte stream — which a well-behaved
-    front door should {e never} cause, and the load harness asserts it
-    doesn't. *)
+    front door should {e never} cause, and the tests assert it doesn't. *)
 
 type failure =
   | Failure_code of int * string  (** structured [Failure] parcel *)

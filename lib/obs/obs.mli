@@ -2,7 +2,7 @@
     exposition.
 
     Every subsystem of the Hyper-Q stack (gateway, pipeline, plan cache,
-    resilience, scale-out, emulation) reports into one {!t} registry, which
+    resilience, emulation) reports into one {!t} registry, which
     renders to Prometheus text exposition ({!render_prometheus}) or JSON
     ({!render_json}). The registry is dependency-free (stdlib + unix +
     threads only) and designed so that a *disabled* registry ({!noop}) costs
@@ -16,7 +16,7 @@
       [(name, labels)]; requesting the same identity twice returns the same
       underlying cell. Pull-mode collectors ({!register_collector}) let
       subsystems that already keep their own counters (plan cache,
-      resilience, scale-out) publish through the registry without
+      resilience) publish through the registry without
       dual-writing: the closure is sampled at render time.
     - {b Spans}: one {!tracer} per query builds a tree of timed spans
       (pipeline stages, emulation steps). Spans always close — callers wrap
@@ -135,7 +135,8 @@ val quantile : histogram_snapshot -> float -> float
 
 (** [register_collector t ~kind name pull] registers a closure sampled at
     render time; it returns one [(labels, value)] row per instance.
-    Several collectors may share one family name (e.g. one per replica). *)
+    Several collectors may share one family name (e.g. one per pipeline
+    on a shared registry). *)
 val register_collector :
   t ->
   ?help:string ->

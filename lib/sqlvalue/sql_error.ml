@@ -17,8 +17,8 @@ type kind =
       (** backend hiccup (lost connection, timeout, overload) that a retry
           may absorb; the resilience layer owns these *)
   | Unavailable
-      (** backend or replica out of service: retries exhausted, circuit
-          breaker open, deadline exceeded, or replica divergence *)
+      (** backend or server out of service: retries exhausted, circuit
+          breaker open, deadline exceeded, or the front door draining *)
   | Protocol_error  (** malformed wire message *)
   | Conversion_error  (** result conversion (TDF -> WP-A) failure *)
   | Internal_error  (** invariant violation; a bug in Hyper-Q itself *)

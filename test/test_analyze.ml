@@ -507,7 +507,9 @@ let recursive_cte =
   "WITH RECURSIVE R (V) AS (SEL K FROM S WHERE K = 1 UNION ALL SEL S.K FROM S, R \
    WHERE S.K = R.V)"
 
-(* Recursion below the top of a query: no WorkTable emulation applies. *)
+(* Recursion below the top of a query: no WorkTable emulation applies.
+   The top-level queries after them are emulated on norec; in the last one
+   a CTE column list renames the step's column. *)
 let nested_recursive_script =
   String.concat ";\n"
     [
@@ -517,6 +519,9 @@ let nested_recursive_script =
       "CREATE TABLE C AS (" ^ recursive_cte ^ " SEL V FROM R) WITH DATA";
       "SEL X.V FROM (" ^ recursive_cte ^ " SEL V FROM R) X";
       recursive_cte ^ " SEL V FROM R";
+      "CREATE TABLE EMP (EMPNO INTEGER, MGRNO INTEGER)";
+      "WITH RECURSIVE R (V) AS (SEL EMPNO FROM EMP WHERE EMPNO = 1 UNION ALL SEL \
+       EMP.MGRNO FROM EMP, R WHERE EMP.EMPNO = R.V) SEL V FROM R";
     ]
 
 let test_analyzer_nested_recursive_unsupported () =

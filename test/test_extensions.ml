@@ -1,4 +1,4 @@
-(* Tests for the extension features (DML batching §4.3, scale-out B.3) and
+(* Tests for the extension features (DML batching §4.3) and
    deeper edge coverage: nested emulation, PERIOD values end-to-end, views
    on views, zero-row recursion, MERGE DELETE, and a fuzz property that the
    full stack never hits an internal error on random expressions. *)
@@ -7,7 +7,6 @@ open Hyperq_sqlvalue
 open Hyperq_sqlparser
 module Pipeline = Hyperq_core.Pipeline
 module Session = Hyperq_core.Session
-module Scale_out = Hyperq_core.Scale_out
 module Capability = Hyperq_transform.Capability
 
 let check = Alcotest.check
@@ -68,49 +67,6 @@ let test_batching_preserves_semantics () =
   let p3 = Pipeline.create () in
   let r3, _ = Pipeline.run_script_batched p3 dup_script in
   check (Alcotest.list sb) "batched SET insert dedups" [ "2" ] (strings (last r3))
-
-(* ------------------------------------------------------------------ *)
-(* Scale-out                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_scale_out_routing () =
-  let cluster = Scale_out.create ~replicas:3 () in
-  let w sql =
-    match snd (Scale_out.run_sql cluster sql) with
-    | Scale_out.Write_all -> ()
-    | Scale_out.Read_one _ -> Alcotest.fail ("should fan out: " ^ sql)
-  in
-  w "CREATE TABLE M (K INTEGER, V DECIMAL(8,2))";
-  w "INS M (1, 10.00)";
-  w "INS M (2, 20.00)";
-  (* reads rotate over all replicas *)
-  let replicas_hit = Hashtbl.create 4 in
-  for _ = 1 to 6 do
-    match Scale_out.run_sql cluster "SEL SUM(V) FROM M" with
-    | o, Scale_out.Read_one r ->
-        Hashtbl.replace replicas_hit r ();
-        check (Alcotest.list sb) "same answer from any replica" [ "30.00" ]
-          (strings o)
-    | _, Scale_out.Write_all -> Alcotest.fail "reads must not fan out"
-  done;
-  check ib "all 3 replicas served reads" 3 (Hashtbl.length replicas_hit);
-  (* a later write keeps replicas consistent *)
-  w "UPD M SET V = V + 1 WHERE K = 1";
-  check bb "consistent after write" true
-    (Scale_out.consistent cluster "SEL K, V FROM M ORDER BY K");
-  let reads, writes = Scale_out.stats cluster in
-  check ib "read count" 6 reads;
-  check ib "write count" 4 writes
-
-let test_scale_out_macros_fan_out () =
-  let cluster = Scale_out.create ~replicas:2 () in
-  ignore (Scale_out.run_sql cluster "CREATE TABLE T (A INTEGER)");
-  ignore (Scale_out.run_sql cluster "CREATE MACRO ADD1 (X INTEGER) AS (INS T (:X);)");
-  (match snd (Scale_out.run_sql cluster "EXEC ADD1(5)") with
-  | Scale_out.Write_all -> ()
-  | Scale_out.Read_one _ -> Alcotest.fail "EXEC must fan out (it may write)");
-  check bb "macro side effects on every replica" true
-    (Scale_out.consistent cluster "SEL A FROM T")
 
 (* ------------------------------------------------------------------ *)
 (* Deeper emulation edges                                               *)
@@ -539,8 +495,6 @@ let suite =
   [
     ("DML batching merges contiguous inserts", `Quick, test_batching_merges_contiguous);
     ("DML batching preserves semantics", `Quick, test_batching_preserves_semantics);
-    ("scale-out routing", `Quick, test_scale_out_routing);
-    ("scale-out fans out macros", `Quick, test_scale_out_macros_fan_out);
     ("nested macro EXEC", `Quick, test_nested_macro_exec);
     ("recursive emulation with empty seed", `Quick, test_recursive_emulation_empty_seed);
     ("recursive emulation cleans up on failure", `Quick, test_recursive_emulation_failure_cleanup);

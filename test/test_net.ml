@@ -9,7 +9,6 @@ module Frame_io = Hyperq_net.Frame_io
 module Admission = Hyperq_net.Admission
 module Server = Hyperq_net.Server
 module Wire_client = Hyperq_net.Wire_client
-module Load_gen = Hyperq_net.Load_gen
 module Protocol_handler = Hyperq_wire.Protocol_handler
 module Message = Hyperq_wire.Message
 module Pipeline = Hyperq_core.Pipeline
@@ -338,40 +337,166 @@ let test_server_drain_finishes_inflight () =
         (Wire_client.failure_to_string e));
   Wire_client.close c
 
-let test_load_gen_replay () =
-  (* a miniature closed-loop run through the real stack: everything is
-     answered, nothing resets, and the report adds up *)
+let test_replay_closed_loop () =
+  (* a miniature closed-loop replay through the real stack: four worker
+     threads share eight sessions, each issues its next statement as soon
+     as the previous answer arrives; everything is answered, nothing
+     resets, and the tally adds up *)
   let server = boot () in
-  let report =
-    Load_gen.run
-      ~config:
-        {
-          Load_gen.default_config with
-          port = Server.port server;
-          workers = 4;
-          sessions = 8;
-          total_queries = 60;
-          timeout_s = 5.;
-        }
-      ~corpus:
-        [
-          "SEL ID, V FROM NT WHERE ID = 1";
-          "SEL COUNT(*) FROM NT";
-          "SEL V FROM NT";
-        ]
-      ()
+  let corpus =
+    [|
+      "SEL ID, V FROM NT WHERE ID = 1";
+      "SEL COUNT(*) FROM NT";
+      "SEL V FROM NT";
+    |]
   in
-  check ib "all submitted" 60 report.Load_gen.lr_submitted;
-  check ib "all succeeded" 60 report.Load_gen.lr_ok;
-  check ib "no io errors" 0 report.Load_gen.lr_io_errors;
+  let workers = 4 and sessions = 8 and total = 60 in
+  let clients = Array.init sessions (fun _ -> connect server) in
+  let latencies_ms = Array.make total nan in
+  let ok = Array.make workers 0 and io_errors = Array.make workers 0 in
+  let threads =
+    List.init workers (fun w ->
+        Thread.create
+          (fun () ->
+            (* worker w owns the statements w, w + workers, ... and the
+               sessions w, w + workers, ... in rotation *)
+            let mine =
+              List.filter (fun q -> q mod workers = w) (List.init total Fun.id)
+            in
+            List.iteri
+              (fun k q ->
+                let c = clients.((w + (k * workers)) mod sessions) in
+                let t0 = Unix.gettimeofday () in
+                (match Wire_client.run c corpus.(q mod Array.length corpus) with
+                | Ok _ -> ok.(w) <- ok.(w) + 1
+                | Error (Wire_client.Io_error _) ->
+                    io_errors.(w) <- io_errors.(w) + 1
+                | Error (Wire_client.Failure_code _) -> ());
+                latencies_ms.(q) <- (Unix.gettimeofday () -. t0) *. 1000.)
+              mine)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iter Wire_client.close clients;
+  let sum = Array.fold_left ( + ) 0 in
+  check ib "all succeeded" total (sum ok);
+  check ib "no io errors" 0 (sum io_errors);
   check bb "latencies recorded" true
-    (Array.length report.Load_gen.lr_latencies_ms = 60);
-  check bb "percentiles ordered" true
-    (report.Load_gen.lr_p50_ms <= report.Load_gen.lr_p99_ms
-    && report.Load_gen.lr_p99_ms <= report.Load_gen.lr_max_ms);
+    (Array.for_all (fun l -> Float.is_finite l && l >= 0.) latencies_ms);
   let st = Server.stats server in
   check ib "no protocol errors" 0 st.Server.sv_protocol_errors;
   ignore (Server.shutdown ~timeout_s:5. server)
+
+(* Concurrent overload and drain on real sockets: eight clients, each on
+   its own connection, offer four times the admission capacity to a slow
+   backend. Every answer is a result or a structured shed (2631 overload,
+   3897 draining), never a reset; inflight stays capped; a drain answers
+   every statement already admitted, and a statement sent after the drain
+   starts is shed with 3897. *)
+let test_server_concurrent_overload_and_drain () =
+  let cap = 2 in
+  let server =
+    boot ~latency_s:0.1
+      ~admission:
+        {
+          Admission.max_inflight = cap;
+          max_queue = 2;
+          queue_timeout_s = 0.05;
+          max_per_session = 1;
+        }
+      ()
+  in
+  let adm = Server.admission server in
+  let clients = Array.init 8 (fun _ -> connect server) in
+  let answers = Array.make (Array.length clients) [] in
+  let send i =
+    let r = Wire_client.run clients.(i) "SEL V FROM NT" in
+    answers.(i) <- r :: answers.(i);
+    r
+  in
+  List.iter Thread.join
+    (List.init (Array.length clients) (fun i ->
+         Thread.create
+           (fun () ->
+             for _ = 1 to 4 do
+               ignore (send i)
+             done)
+           ()));
+  let shed_2631 =
+    List.length
+      (List.filter
+         (function Error (Wire_client.Failure_code (2631, _)) -> true | _ -> false)
+         (List.concat (Array.to_list answers)))
+  in
+  check bb "overload shed with 2631" true (shed_2631 >= 1);
+  (* drain: clients 0 and 1 hold both slots when the drain starts; client 2
+     sends once the server is draining, on a connection its worker is
+     already reading *)
+  let late = ref None in
+  let late_sender =
+    Thread.create
+      (fun () ->
+        while not (Admission.draining adm) do
+          Thread.delay 0.001
+        done;
+        late := Some (send 2);
+        for i = 2 to 7 do
+          Wire_client.close clients.(i)
+        done)
+      ()
+  in
+  let inflight_answers = Array.make 2 None in
+  let inflight =
+    List.map
+      (fun i ->
+        Thread.create
+          (fun () ->
+            inflight_answers.(i) <- Some (send i);
+            Wire_client.close clients.(i))
+          ())
+      [ 0; 1 ]
+  in
+  let rec wait_inflight n =
+    if Admission.inflight adm < cap && n > 0 then begin
+      Thread.delay 0.001;
+      wait_inflight (n - 1)
+    end
+  in
+  wait_inflight 2000;
+  let dr = Server.shutdown ~drain:true ~timeout_s:5. server in
+  List.iter Thread.join inflight;
+  Thread.join late_sender;
+  check ib "both slots held at the drain signal" cap
+    dr.Server.dr_inflight_at_signal;
+  check bb "drain completed inflight work" true dr.Server.dr_drained;
+  Array.iter
+    (function
+      | Some (Ok _) -> ()
+      | Some (Error e) ->
+          Alcotest.failf "inflight statement lost its answer: %s"
+            (Wire_client.failure_to_string e)
+      | None -> Alcotest.fail "inflight statement never returned")
+    inflight_answers;
+  (match !late with
+  | Some (Error (Wire_client.Failure_code (3897, _))) -> ()
+  | Some (Ok _) -> Alcotest.fail "statement admitted after the drain started"
+  | Some (Error e) ->
+      Alcotest.failf "expected wire code 3897 after drain, got: %s"
+        (Wire_client.failure_to_string e)
+  | None -> Alcotest.fail "late statement never returned");
+  Array.iter
+    (List.iter (function
+      | Ok _ | Error (Wire_client.Failure_code ((2631 | 3897), _)) -> ()
+      | Error e ->
+          Alcotest.failf "unstructured answer: %s"
+            (Wire_client.failure_to_string e)))
+    answers;
+  let st = Server.stats server in
+  check bb "inflight never exceeded the cap" true
+    (st.Server.sv_admission.Admission.st_peak_inflight <= cap);
+  check bb "sheds counted server-side" true
+    (Admission.shed_total st.Server.sv_admission >= shed_2631 + 1);
+  check ib "no protocol errors" 0 st.Server.sv_protocol_errors
 
 let suite =
   [
@@ -384,5 +509,7 @@ let suite =
     ("server poisons malformed stream", `Quick, test_server_poisons_malformed_stream);
     ("server sheds with wire code 2631", `Quick, test_server_sheds_under_overload);
     ("drain finishes inflight statements", `Quick, test_server_drain_finishes_inflight);
-    ("load generator replay", `Quick, test_load_gen_replay);
+    ("load generator replay", `Quick, test_replay_closed_loop);
+    ("server overload + drain, 8 clients", `Quick,
+      test_server_concurrent_overload_and_drain);
   ]

@@ -1,11 +1,10 @@
 (* Observability subsystem: histogram bucket edges, quantile estimation,
    span nesting and orphan handling, trace-ring wraparound, the slow-query
-   log, Prometheus/JSON exposition (golden), and the pipeline/gateway/
-   scale-out integration. Timing-sensitive tests run on a fake clock. *)
+   log, Prometheus/JSON exposition (golden), and the pipeline/gateway
+   integration. Timing-sensitive tests run on a fake clock. *)
 
 module Obs = Hyperq_obs.Obs
 module Pipeline = Hyperq_core.Pipeline
-module Scale_out = Hyperq_core.Scale_out
 module Gateway = Hyperq_core.Gateway
 open Hyperq_sqlvalue
 
@@ -276,7 +275,7 @@ let test_noop_is_inert () =
   check sb "empty json" "{}" (Obs.render_json t)
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline / gateway / scale-out integration                           *)
+(* Pipeline / gateway integration                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_pipeline_exposition () =
@@ -322,21 +321,6 @@ let test_pipeline_exposition () =
   let text = Obs.render_prometheus (Pipeline.obs p) in
   has text "hyperq_active_sessions 0"
 
-let test_scale_out_exposition () =
-  let so = Scale_out.create ~replicas:2 () in
-  ignore (Scale_out.run_sql so "CREATE TABLE SO_T (A INTEGER)");
-  ignore (Scale_out.run_sql so "INS SO_T (1)");
-  ignore (Scale_out.run_sql so "SEL A FROM SO_T");
-  let text = Obs.render_prometheus (Scale_out.obs so) in
-  has text "hyperq_replica_lag{replica=\"0\"} 0";
-  has text "hyperq_replica_lag{replica=\"1\"} 0";
-  has text "hyperq_replica_healthy{replica=\"0\"} 1";
-  has text "hyperq_scaleout_events_total{event=\"write_fanned_out\"} 2";
-  has text "hyperq_scaleout_events_total{event=\"read_routed\"} 1";
-  (* replica pipelines share the registry, disambiguated by label *)
-  has text "hyperq_pipeline_stage_seconds_bucket{replica=\"0\"";
-  has text "hyperq_pipeline_stage_seconds_bucket{replica=\"1\""
-
 (* One observation per stage per query: a cache-missing statement binds and
    substitutes parameters under a single Bind observation. *)
 let test_bind_observed_once () =
@@ -375,7 +359,6 @@ let suite =
     Alcotest.test_case "noop registry is inert" `Quick test_noop_is_inert;
     Alcotest.test_case "pipeline + gateway exposition" `Quick
       test_pipeline_exposition;
-    Alcotest.test_case "scale-out exposition" `Quick test_scale_out_exposition;
     Alcotest.test_case "bind observed once per query" `Quick
       test_bind_observed_once;
   ]

@@ -152,6 +152,11 @@ let recursive_query =
    MGRNO = 10 UNION ALL SEL EMP.EMPNO, EMP.MGRNO FROM EMP, REPORTS WHERE \
    REPORTS.EMPNO = EMP.MGRNO) SEL EMPNO FROM REPORTS ORDER BY EMPNO"
 
+(* a CTE column list renames the step's column (MGRNO -> V) *)
+let renamed_recursive_query =
+  "WITH RECURSIVE R (V) AS (SEL EMPNO FROM EMP WHERE EMPNO = 1 UNION ALL SEL \
+   EMP.MGRNO FROM EMP, R WHERE EMP.EMPNO = R.V) SEL V FROM R"
+
 let test_recursive_native_vs_emulated () =
   (* identical answers whether the backend supports recursion or not — the
      property the paper's §6 claims ("exactly the same behavior") *)
@@ -161,6 +166,12 @@ let test_recursive_native_vs_emulated () =
   let o = run_emulated recursive_query in
   check (Alcotest.list sb) "emulated = native" native (strings o);
   check (Alcotest.list sb) "paper Figure 7 answer" [ "1"; "7"; "8"; "9" ] native;
+  let sorted q run = List.sort compare (strings (run q)) in
+  let native_renamed = sorted renamed_recursive_query run_native in
+  check (Alcotest.list sb) "CTE column list: emulated = native" native_renamed
+    (sorted renamed_recursive_query run_emulated);
+  check bb "CTE column list: recursion ran" true
+    (List.length native_renamed > 1);
   check bb "trace recorded" true (o.Pipeline.out_emulation_trace <> []);
   check bb "work tables cleaned up" true
     (not
