@@ -10,11 +10,12 @@ open Hyperq_sqlvalue
 module Message = Hyperq_wire.Message
 module Record = Hyperq_wire.Record
 module Auth = Hyperq_wire.Auth
+module Frame_buf = Hyperq_wire.Frame_buf
 
 type t = {
   conn : Gateway.connection;
   mutable session_id : int;
-  mutable inbox : string;
+  inbox : Frame_buf.t;
 }
 
 type response = {
@@ -26,20 +27,19 @@ type response = {
 
 (* exchange: send a frame, collect all response messages *)
 let exchange t (m : Message.t) : Message.t list =
-  let bytes = Gateway.feed t.conn (Message.encode_frame m) in
-  t.inbox <- t.inbox ^ bytes;
-  let rec drain pos acc =
-    match Message.decode_frame t.inbox pos with
-    | None ->
-        t.inbox <- String.sub t.inbox pos (String.length t.inbox - pos);
-        List.rev acc
-    | Some (msg, next) -> drain next (msg :: acc)
+  let frame = Bytes.unsafe_of_string (Message.encode_frame m) in
+  let bytes = Gateway.feed t.conn frame 0 (Bytes.length frame) in
+  Frame_buf.add t.inbox (Bytes.unsafe_of_string bytes) 0 (String.length bytes);
+  let rec drain acc =
+    match Frame_buf.next t.inbox with
+    | None -> List.rev acc
+    | Some msg -> drain (msg :: acc)
   in
-  drain 0 []
+  drain []
 
 let logon gateway ~username ~password =
   let conn = Gateway.connect gateway ~username () in
-  let t = { conn; session_id = 0; inbox = "" } in
+  let t = { conn; session_id = 0; inbox = Frame_buf.create () } in
   let fail msg =
     Gateway.disconnect conn;
     Error msg

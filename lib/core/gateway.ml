@@ -76,7 +76,7 @@ let executor t session ~sql :
               (fun (c : Tdf.column_desc) ->
                 { Message.col_name = c.Tdf.cd_name; col_type = c.Tdf.cd_type })
               outcome.Pipeline.out_columns;
-          qr_rows = outcome.Pipeline.out_rows;
+          qr_records = outcome.Pipeline.out_records;
           qr_activity = outcome.Pipeline.out_activity;
           qr_count = outcome.Pipeline.out_count;
         }
@@ -112,7 +112,7 @@ let connect t ?(username = "DBC") ?wrap ?max_frame_bytes () =
   { gateway = t; session; handler }
 
 let pipeline t = t.pipeline
-let feed conn bytes = Protocol_handler.feed conn.handler bytes
+let feed conn data off len = Protocol_handler.feed conn.handler data off len
 let connection_closed conn = Protocol_handler.is_closed conn.handler
 let connection_protocol_errors conn = Protocol_handler.protocol_errors conn.handler
 let connection_session conn = conn.session

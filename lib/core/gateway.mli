@@ -38,8 +38,10 @@ val connect :
   unit ->
   connection
 
-(** Feed raw client bytes; returns raw response bytes. *)
-val feed : connection -> string -> string
+(** [feed conn data off len] feeds [len] raw client bytes of [data] from
+    [off]; returns raw response bytes (see
+    {!Hyperq_wire.Protocol_handler.feed}). *)
+val feed : connection -> Bytes.t -> int -> int -> string
 
 (** True once the protocol handler closed the conversation (logoff or a
     poisoned stream) — the transport should flush and hang up. *)

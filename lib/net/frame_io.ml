@@ -8,7 +8,7 @@
     connections without closing descriptors out from under their owners. *)
 
 type read_result =
-  | Data of string  (** at least one byte *)
+  | Data of int  (** bytes read into the caller's buffer, at least one *)
   | Eof  (** orderly close, or a peer reset treated as one *)
   | Timed_out
   | Interrupted  (** the [stop] poll returned true *)
@@ -38,17 +38,16 @@ let rec wait_fd ~for_write ?(stop = fun () -> false) fd ~deadline =
       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
           wait_fd ~for_write ~stop fd ~deadline
 
-let read_chunk ?stop ?(max_bytes = 65536) fd ~timeout_s : read_result =
+let read_chunk ?stop fd buf ~timeout_s : read_result =
   let deadline = now () +. timeout_s in
-  let buf = Bytes.create max_bytes in
   let rec go () =
     match wait_fd ~for_write:false ?stop fd ~deadline with
     | `Timed_out -> Timed_out
     | `Interrupted -> Interrupted
     | `Ready -> (
-        match Unix.read fd buf 0 max_bytes with
+        match Unix.read fd buf 0 (Bytes.length buf) with
         | 0 -> Eof
-        | n -> Data (Bytes.sub_string buf 0 n)
+        | n -> Data n
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
           ->

@@ -8,7 +8,7 @@
     does not own. *)
 
 type read_result =
-  | Data of string  (** at least one byte *)
+  | Data of int  (** bytes read into the caller's buffer, at least one *)
   | Eof  (** orderly close; peer resets are also reported as [Eof] *)
   | Timed_out
   | Interrupted  (** the [stop] poll returned true *)
@@ -18,10 +18,13 @@ type write_result = Written | Write_timed_out | Write_closed of string
 (** Interval at which blocked calls re-check [stop]. *)
 val poll_interval_s : float
 
-(** [read_chunk ~stop ~max_bytes fd ~timeout_s] reads at least one byte (at
-    most [max_bytes], default 64 KiB), waiting up to [timeout_s]. *)
+(** [read_chunk ~stop fd buf ~timeout_s] reads at least one byte into the
+    caller-owned [buf] from offset 0 (at most [Bytes.length buf]), waiting
+    up to [timeout_s]. [Data n]: the first [n] bytes of [buf] are new. The
+    call allocates no buffer of its own, so a connection reuses one buffer
+    for every read. *)
 val read_chunk :
-  ?stop:(unit -> bool) -> ?max_bytes:int -> Unix.file_descr -> timeout_s:float -> read_result
+  ?stop:(unit -> bool) -> Unix.file_descr -> Bytes.t -> timeout_s:float -> read_result
 
 (** [write_all ~stop fd ~timeout_s s] writes all of [s], looping over short
     writes, within one overall deadline. *)

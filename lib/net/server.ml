@@ -154,17 +154,22 @@ let serve_connection t fd =
       ~max_frame_bytes:t.cfg.max_frame_bytes ()
   in
   let stop () = t.stopping in
+  (* the connection's one inbound buffer: every read lands here, and the
+     gateway copies what it needs out of it before the next read *)
+  let inbuf = Bytes.create 65536 in
   let rec pump () =
     (* between requests: a draining server stops reading and hangs up
        (every response already written), an idle read eventually times out *)
     if t.draining || t.stopping then ()
     else
-      match Frame_io.read_chunk ~stop fd ~timeout_s:t.cfg.read_timeout_s with
+      match
+        Frame_io.read_chunk ~stop fd inbuf ~timeout_s:t.cfg.read_timeout_s
+      with
       | Frame_io.Eof | Frame_io.Timed_out | Frame_io.Interrupted -> ()
-      | Frame_io.Data bytes -> (
-          Obs.add t.bytes_read_total (float_of_int (String.length bytes));
+      | Frame_io.Data n -> (
+          Obs.add t.bytes_read_total (float_of_int n);
           let before = Gateway.connection_protocol_errors conn in
-          let out = Gateway.feed conn bytes in
+          let out = Gateway.feed conn inbuf 0 n in
           if Gateway.connection_protocol_errors conn > before then
             Obs.inc t.protocol_errors_total;
           let write_ok =

@@ -11,6 +11,8 @@
 open Hyperq_sqlvalue
 module Message = Hyperq_wire.Message
 module Auth = Hyperq_wire.Auth
+module Frame_buf = Hyperq_wire.Frame_buf
+module Record = Hyperq_wire.Record
 
 type failure =
   | Failure_code of int * string  (** structured [Failure] parcel *)
@@ -23,7 +25,8 @@ let failure_to_string = function
 type t = {
   fd : Unix.file_descr;
   timeout_s : float;
-  mutable buf : string;  (** undecoded inbound bytes *)
+  chunk : Bytes.t;  (** every socket read lands here *)
+  inbox : Frame_buf.t;  (** undecoded inbound bytes *)
   mutable session_id : int;
   mutable closed : bool;
 }
@@ -41,16 +44,16 @@ let send t msg =
   | Frame_io.Write_closed m -> Error (Io_error ("write failed: " ^ m))
 
 (* read frames until one whole message decodes; the server may batch
-   several messages into one TCP segment, so decode from [buf] first *)
+   several messages into one TCP segment, so decode from [inbox] first.
+   Decoding consumes from the inbox's read offset and a read appends at
+   its tail, so an answer of any number of parcels is copied once. *)
 let rec recv t =
-  match Message.decode_frame t.buf 0 with
-  | Some (msg, consumed) ->
-      t.buf <- String.sub t.buf consumed (String.length t.buf - consumed);
-      Ok msg
+  match Frame_buf.next t.inbox with
+  | Some msg -> Ok msg
   | None -> (
-      match Frame_io.read_chunk t.fd ~timeout_s:t.timeout_s with
-      | Frame_io.Data bytes ->
-          t.buf <- t.buf ^ bytes;
+      match Frame_io.read_chunk t.fd t.chunk ~timeout_s:t.timeout_s with
+      | Frame_io.Data n ->
+          Frame_buf.add t.inbox t.chunk 0 n;
           recv t
       | Frame_io.Eof -> Error (Io_error "connection closed by server")
       | Frame_io.Timed_out -> Error (Io_error "read timeout")
@@ -74,7 +77,16 @@ let connect ?(timeout_s = 10.) ~host ~port ~username ~password () =
         Error (Io_error ("connect: " ^ Unix.error_message e))
   in
   let* () = ok in
-  let t = { fd; timeout_s; buf = ""; session_id = 0; closed = false } in
+  let t =
+    {
+      fd;
+      timeout_s;
+      chunk = Bytes.create 65536;
+      inbox = Frame_buf.create ();
+      session_id = 0;
+      closed = false;
+    }
+  in
   let handshake () =
     let* () = send t (Message.Logon_request { username }) in
     let* challenge = recv t in
@@ -106,7 +118,7 @@ let connect ?(timeout_s = 10.) ~host ~port ~username ~password () =
 
 type reply = {
   rp_columns : Message.column list;
-  rp_records : int;  (** record parcels received (not decoded rows) *)
+  rp_rows : Value.t array list;  (** decoded records, in arrival order *)
   rp_activity_count : int;
   rp_activity : string;
 }
@@ -117,24 +129,37 @@ let run t sql : (reply, failure) result =
   if t.closed then Error (Io_error "client closed")
   else
     let* () = send t (Message.Run_request { sql }) in
-    let rec collect columns records =
+    let rec collect columns rows =
       let* msg = recv t in
       match msg with
-      | Message.Response_header { columns = cols } -> collect cols records
-      | Message.Records { payload } ->
-          collect columns (records + List.length payload)
+      | Message.Response_header { columns = cols } -> collect cols rows
+      | Message.Records { payload } -> (
+          let rcols =
+            List.map
+              (fun (c : Message.column) ->
+                { Record.rc_name = c.Message.col_name; rc_type = c.Message.col_type })
+              columns
+          in
+          match
+            List.fold_left
+              (fun acc r -> Record.decode_row rcols r :: acc)
+              rows payload
+          with
+          | rows -> collect columns rows
+          | exception (Sql_error.Error _ | Invalid_argument _) ->
+              Error (Io_error "undecodable record"))
       | Message.Success { activity_count; activity } ->
           Ok
             {
               rp_columns = columns;
-              rp_records = records;
+              rp_rows = List.rev rows;
               rp_activity_count = activity_count;
               rp_activity = activity;
             }
       | Message.Failure { code; message } -> Error (Failure_code (code, message))
       | m -> Error (Io_error ("unexpected parcel: " ^ Message.to_string m))
     in
-    collect [] 0
+    collect [] []
 
 let close t =
   if not t.closed then begin

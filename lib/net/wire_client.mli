@@ -31,7 +31,8 @@ val session_id : t -> int
 
 type reply = {
   rp_columns : Hyperq_wire.Message.column list;
-  rp_records : int;  (** record parcels received (not decoded rows) *)
+  rp_rows : Hyperq_sqlvalue.Value.t array list;
+      (** the answer's records decoded against its header, in order *)
   rp_activity_count : int;
   rp_activity : string;
 }

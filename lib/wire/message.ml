@@ -52,12 +52,14 @@ let w_str buf s =
   w_u32 buf (String.length s);
   Buffer.add_string buf s
 
-type reader = { data : string; mutable pos : int }
+(* Decoding reads in place from [data] up to [limit]: a frame's payload is
+   never copied out of the buffer it arrived in; only the strings it
+   carries are. *)
+type reader = { data : Bytes.t; mutable pos : int; limit : int }
 
 let r_u8 r =
-  if r.pos >= String.length r.data then
-    Sql_error.protocol_error "message: truncated payload";
-  let c = Char.code r.data.[r.pos] in
+  if r.pos >= r.limit then Sql_error.protocol_error "message: truncated payload";
+  let c = Bytes.get_uint8 r.data r.pos in
   r.pos <- r.pos + 1;
   c
 
@@ -71,9 +73,8 @@ let r_u32 r =
 
 let r_str r =
   let n = r_u32 r in
-  if r.pos + n > String.length r.data then
-    Sql_error.protocol_error "message: truncated string";
-  let s = String.sub r.data r.pos n in
+  if n > r.limit - r.pos then Sql_error.protocol_error "message: truncated string";
+  let s = Bytes.sub_string r.data r.pos n in
   r.pos <- r.pos + n;
   s
 
@@ -117,9 +118,34 @@ let read_column r =
   let name = r_str r in
   { col_name = name; col_type = ty }
 
-let encode_payload (m : t) : string =
-  let buf = Buffer.create 64 in
-  (match m with
+(* the exact byte count [write_payload] produces, so a frame's length
+   prefix can be written before its payload, straight into the caller's
+   buffer *)
+let str_size s = 4 + String.length s
+
+let column_size c =
+  1
+  + (match c.col_type with
+    | Dtype.Decimal _ -> 2
+    | Dtype.Varchar _ -> 4
+    | _ -> 0)
+  + str_size c.col_name
+
+let payload_size = function
+  | Logon_request { username } -> str_size username
+  | Logon_challenge { salt } -> str_size salt
+  | Logon_auth { username; proof } -> str_size username + str_size proof
+  | Logon_response { message; _ } -> 5 + str_size message
+  | Run_request { sql } -> str_size sql
+  | Response_header { columns } ->
+      List.fold_left (fun n c -> n + column_size c) 2 columns
+  | Records { payload } -> List.fold_left (fun n s -> n + str_size s) 4 payload
+  | Success { activity; _ } -> 4 + str_size activity
+  | Failure { message; _ } -> 2 + str_size message
+  | Logoff -> 0
+
+let write_payload buf (m : t) =
+  match m with
   | Logon_request { username } -> w_str buf username
   | Logon_challenge { salt } -> w_str buf salt
   | Logon_auth { username; proof } ->
@@ -142,11 +168,9 @@ let encode_payload (m : t) : string =
   | Failure { code; message } ->
       w_u16 buf code;
       w_str buf message
-  | Logoff -> ());
-  Buffer.contents buf
+  | Logoff -> ()
 
-let decode_payload kind payload : t =
-  let r = { data = payload; pos = 0 } in
+let decode_payload kind r : t =
   match kind with
   | 1 -> Logon_request { username = r_str r }
   | 2 -> Logon_challenge { salt = r_str r }
@@ -179,29 +203,39 @@ let decode_payload kind payload : t =
 
 (* --- framing ------------------------------------------------------------ *)
 
-let encode_frame (m : t) : string =
-  let payload = encode_payload m in
-  let buf = Buffer.create (String.length payload + 6) in
+let header_bytes = 6
+
+let add_frame buf (m : t) =
+  let size = payload_size m in
+  let start = Buffer.length buf in
   w_u8 buf (kind_byte m);
   w_u8 buf 0 (* flags *);
-  w_u32 buf (String.length payload);
-  Buffer.add_string buf payload;
+  w_u32 buf size;
+  write_payload buf m;
+  assert (Buffer.length buf - start = header_bytes + size)
+
+let encode_frame (m : t) : string =
+  let buf = Buffer.create (header_bytes + payload_size m) in
+  add_frame buf m;
   Buffer.contents buf
 
-(** Decode one frame from [data] at [pos]; returns the message and the
-    position after it. Raises [Protocol_error] on malformed input and
-    [Not_enough] (via [None]) when more bytes are needed. *)
-let decode_frame data pos : (t * int) option =
-  if String.length data - pos < 6 then None
-  else
-    let r = { data; pos } in
-    let kind = r_u8 r in
-    let _flags = r_u8 r in
-    let len = r_u32 r in
-    if String.length data - r.pos < len then None
-    else
-      let payload = String.sub data r.pos len in
-      Some (decode_payload kind payload, r.pos + len)
+let peek_length data ~pos ~limit =
+  if limit - pos < header_bytes then None
+  else Some (Int32.to_int (Bytes.get_int32_be data (pos + 2)) land 0xffff_ffff)
+
+let decode_bytes data ~pos ~limit : (t * int) option =
+  match peek_length data ~pos ~limit with
+  | None -> None
+  | Some len ->
+      let start = pos + header_bytes in
+      if limit - start < len then None
+      else
+        let r = { data; pos = start; limit = start + len } in
+        Some (decode_payload (Bytes.get_uint8 data pos) r, r.limit)
+
+let decode_frame data pos =
+  (* read-only view: [decode_bytes] never writes to [data] *)
+  decode_bytes (Bytes.unsafe_of_string data) ~pos ~limit:(String.length data)
 
 let to_string = function
   | Logon_request { username } -> Printf.sprintf "LogonRequest(%s)" username

@@ -22,11 +22,25 @@ type t =
   | Failure of { code : int; message : string }
   | Logoff
 
+(** [add_frame buf m] appends [m]'s frame to [buf]: header, then payload,
+    with no intermediate payload or frame string. *)
+val add_frame : Buffer.t -> t -> unit
+
+(** [m]'s frame as a fresh string. *)
 val encode_frame : t -> string
 
-(** Decode one frame starting at [pos]; [None] means more bytes are needed.
-    Raises {!Sql_error.Error} with [Protocol_error] on malformed input. *)
+(** Decode one frame at [pos] of [data], in place, reading no byte at or
+    past [limit]. Returns the message and the position after its frame;
+    [None] means more bytes are needed. Raises {!Sql_error.Error} with
+    [Protocol_error] on malformed input. *)
+val decode_bytes : Bytes.t -> pos:int -> limit:int -> (t * int) option
+
+(** [decode_bytes] over a whole string. *)
 val decode_frame : string -> int -> (t * int) option
+
+(** The declared payload length of the frame at [pos], once its 6-byte
+    header lies before [limit]. *)
+val peek_length : Bytes.t -> pos:int -> limit:int -> int option
 
 (** Short human-readable rendering for logs. *)
 val to_string : t -> string

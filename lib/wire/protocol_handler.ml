@@ -14,7 +14,7 @@ open Hyperq_sqlvalue
 
 type query_result = {
   qr_columns : Message.column list;
-  qr_rows : Value.t array list;
+  qr_records : string list;
   qr_activity : string;
   qr_count : int;
 }
@@ -31,7 +31,8 @@ type t = {
   users : Auth.user_db;
   executor : executor;
   mutable phase : phase;
-  mutable inbox : string;  (** unconsumed raw bytes *)
+  inbox : Frame_buf.t;  (** undecoded inbound bytes *)
+  out : Buffer.t;  (** response frames not yet handed to the transport *)
   records_per_parcel : int;
   max_frame_bytes : int;
   mutable messages_handled : int;
@@ -47,7 +48,8 @@ let create ?(records_per_parcel = 128)
     users;
     executor;
     phase = Awaiting_logon;
-    inbox = "";
+    inbox = Frame_buf.create ();
+    out = Buffer.create 4096;
     records_per_parcel;
     max_frame_bytes;
     messages_handled = 0;
@@ -99,19 +101,9 @@ let handle_message t (m : Message.t) : Message.t list =
       match t.executor ~sql with
       | Ok qr ->
           let record_parcels =
-            if qr.qr_rows = [] then []
-            else
-              let cols =
-                List.map
-                  (fun (c : Message.column) ->
-                    { Record.rc_name = c.Message.col_name; rc_type = c.Message.col_type })
-                  qr.qr_columns
-              in
-              List.map
-                (fun rows ->
-                  Message.Records
-                    { payload = List.map (Record.encode_row cols) rows })
-                (chunk t.records_per_parcel qr.qr_rows)
+            List.map
+              (fun payload -> Message.Records { payload })
+              (chunk t.records_per_parcel qr.qr_records)
           in
           (Message.Response_header { columns = qr.qr_columns } :: record_parcels)
           @ [
@@ -145,14 +137,6 @@ let handle_message t (m : Message.t) : Message.t list =
           };
       ]
 
-(* Peek at the length prefix of the frame starting at [pos]; [None] when
-   fewer than 6 header bytes are buffered. *)
-let peek_frame_len data pos =
-  if String.length data - pos < 6 then None
-  else
-    let b i = Char.code data.[pos + 2 + i] in
-    Some ((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3)
-
 (* A malformed stream cannot be resynchronized (framing is length-prefixed,
    so one bad frame poisons every byte after it): report a structured
    Failure parcel and close the conversation instead of raising into the
@@ -162,47 +146,37 @@ let poison t fmt =
     (fun msg ->
       t.protocol_errors <- t.protocol_errors + 1;
       t.phase <- Closed;
-      Message.encode_frame (Message.Failure { code = 1000; message = msg }))
+      Frame_buf.clear t.inbox (* closed: later bytes can't be framed *);
+      Message.add_frame t.out (Message.Failure { code = 1000; message = msg }))
     fmt
 
-(** Feed raw bytes; returns the raw response bytes generated by any complete
-    frames found. Partial frames remain buffered. Malformed input — a length
-    prefix beyond [max_frame_bytes] or a payload that fails to decode —
-    yields a structured [Failure] (code 1000) and closes the handler rather
-    than raising. *)
-let feed t (bytes : string) : string =
+(** Feed [len] raw bytes of [data] from [off]; returns the raw response
+    bytes generated by any complete frames found. Partial frames remain
+    buffered. Malformed input — a length prefix beyond [max_frame_bytes] or
+    a payload that fails to decode — yields a structured [Failure] (code
+    1000) and closes the handler rather than raising. *)
+let feed t data off len : string =
   if t.phase = Closed then ""
   else begin
-    t.inbox <- t.inbox ^ bytes;
-    let out = Buffer.create 256 in
-    let rec loop pos =
-      match peek_frame_len t.inbox pos with
-      | Some len when len > t.max_frame_bytes ->
-          Buffer.add_string out
-            (poison t
-               "protocol error: frame length %d exceeds the %d-byte limit"
-               len t.max_frame_bytes);
-          `Poisoned
+    Frame_buf.add t.inbox data off len;
+    let rec loop () =
+      match Frame_buf.peek_length t.inbox with
+      | Some n when n > t.max_frame_bytes ->
+          poison t "protocol error: frame length %d exceeds the %d-byte limit"
+            n t.max_frame_bytes
       | _ -> (
-          match Message.decode_frame t.inbox pos with
-          | None -> `Consumed pos
-          | Some (m, next) ->
-              List.iter
-                (fun resp -> Buffer.add_string out (Message.encode_frame resp))
-                (handle_message t m);
-              if t.phase = Closed then `Poisoned (* logoff: drop the rest *)
-              else loop next
+          match Frame_buf.next t.inbox with
+          | None -> ()
+          | Some m ->
+              List.iter (Message.add_frame t.out) (handle_message t m);
+              (* logoff: drop the rest *)
+              if t.phase = Closed then Frame_buf.clear t.inbox else loop ()
           | exception Sql_error.Error e
             when e.Sql_error.kind = Sql_error.Protocol_error ->
-              Buffer.add_string out (poison t "%s" e.Sql_error.message);
-              `Poisoned)
+              poison t "%s" e.Sql_error.message)
     in
-    (match loop 0 with
-    | `Poisoned -> t.inbox <- "" (* closed: later bytes can't be framed *)
-    | `Consumed consumed ->
-        t.inbox <-
-          String.sub t.inbox consumed (String.length t.inbox - consumed));
-    Buffer.contents out
+    loop ();
+    Frame_buf.take t.out
   end
 
 let is_authenticated t =

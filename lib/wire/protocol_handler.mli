@@ -8,7 +8,9 @@ open Hyperq_sqlvalue
 
 type query_result = {
   qr_columns : Message.column list;
-  qr_rows : Value.t array list;
+  qr_records : string list;
+      (** the rows in the WP-A record format, as the Result Converter
+          encoded them; sent as they are *)
   qr_activity : string;
   qr_count : int;
 }
@@ -36,13 +38,17 @@ val default_max_frame_bytes : int
     of-order messages yield a protocol-violation [Failure]. *)
 val handle_message : t -> Message.t -> Message.t list
 
-(** Feed raw bytes; returns the raw response bytes produced by any complete
-    frames. Partial frames stay buffered. Malformed input — an oversized
-    length prefix or a payload that fails to decode — never raises: the
-    handler answers with a structured [Failure] (code 1000) and closes,
-    because a length-prefixed stream cannot be resynchronized past a bad
-    frame. Once closed, further bytes are ignored. *)
-val feed : t -> string -> string
+(** [feed t data off len] feeds [len] raw bytes of [data] from [off] and
+    returns the raw response bytes produced by any complete frames. The
+    bytes are copied into the handler's inbound buffer, where frames are
+    decoded in place; responses are encoded into its outbound buffer, so
+    [data] may be reused as soon as [feed] returns. Partial frames stay
+    buffered. Malformed input — an oversized length prefix or a payload
+    that fails to decode — never raises: the handler answers with a
+    structured [Failure] (code 1000) and closes, because a length-prefixed
+    stream cannot be resynchronized past a bad frame. Once closed, further
+    bytes are ignored. *)
+val feed : t -> Bytes.t -> int -> int -> string
 
 val is_authenticated : t -> bool
 val is_closed : t -> bool

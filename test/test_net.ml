@@ -14,6 +14,9 @@ module Message = Hyperq_wire.Message
 module Pipeline = Hyperq_core.Pipeline
 module Gateway = Hyperq_core.Gateway
 module R = Hyperq_core.Resilience
+module Result_converter = Hyperq_core.Result_converter
+module Result_store = Hyperq_tdf.Result_store
+module Auth = Hyperq_wire.Auth
 
 let check = Alcotest.check
 let bb = Alcotest.bool
@@ -40,10 +43,11 @@ let test_frame_io_short_reads () =
       ()
   in
   let buf = Buffer.create 64 in
+  let chunk = Bytes.create 64 in
   let rec collect () =
-    match Frame_io.read_chunk b ~timeout_s:2.0 with
-    | Frame_io.Data s ->
-        Buffer.add_string buf s;
+    match Frame_io.read_chunk b chunk ~timeout_s:2.0 with
+    | Frame_io.Data n ->
+        Buffer.add_subbytes buf chunk 0 n;
         if Buffer.length buf < String.length frame then collect ()
     | Frame_io.Eof -> ()
     | Frame_io.Timed_out | Frame_io.Interrupted ->
@@ -63,13 +67,14 @@ let test_frame_io_write_all_and_deadline () =
   (* a large write must loop over short writes while a reader drains *)
   let payload = String.init 1_000_000 (fun i -> Char.chr (i land 0xff)) in
   let total = ref 0 in
+  let chunk = Bytes.create 65536 in
   let reader =
     Thread.create
       (fun () ->
         let rec go () =
-          match Frame_io.read_chunk b ~timeout_s:5.0 with
-          | Frame_io.Data s ->
-              total := !total + String.length s;
+          match Frame_io.read_chunk b chunk ~timeout_s:5.0 with
+          | Frame_io.Data n ->
+              total := !total + n;
               if !total < String.length payload then go ()
           | _ -> ()
         in
@@ -83,12 +88,38 @@ let test_frame_io_write_all_and_deadline () =
   check ib "every byte arrived" (String.length payload) !total;
   (* a read with nothing arriving honours its deadline *)
   let t0 = Unix.gettimeofday () in
-  (match Frame_io.read_chunk b ~timeout_s:0.1 with
+  (match Frame_io.read_chunk b chunk ~timeout_s:0.1 with
   | Frame_io.Timed_out -> ()
   | _ -> Alcotest.fail "expected a read timeout");
   check bb "timeout is prompt" true (Unix.gettimeofday () -. t0 < 1.0);
   Unix.close a;
   Unix.close b
+
+(* every read lands in the caller's buffer: a connection's reads allocate
+   nothing on the major heap (a fresh 64 KiB chunk per read would cost
+   8,193 words each) *)
+let test_frame_io_read_no_alloc () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let frame =
+    Bytes.of_string (Message.encode_frame (Message.Run_request { sql = "SEL 1" }))
+  in
+  let flen = Bytes.length frame in
+  let buf = Bytes.create 65536 in
+  let reads = 1000 and short = ref 0 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to reads do
+    ignore (Unix.write a frame 0 flen);
+    match Frame_io.read_chunk b buf ~timeout_s:2.0 with
+    | Frame_io.Data n when n = flen -> ()
+    | _ -> incr short
+  done;
+  let per_read = ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int reads in
+  Unix.close a;
+  Unix.close b;
+  check ib "every read returned one whole frame" 0 !short;
+  check bb
+    (Printf.sprintf "major words per read %.1f < 100" per_read)
+    true (per_read < 100.)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol handler: framing hardening (satellite 2)                    *)
@@ -100,12 +131,14 @@ let handler () =
     ~executor:(fun ~sql:_ -> Sql_error.internal_error "no executor in test")
     ()
 
+let feed h s = Protocol_handler.feed h (Bytes.of_string s) 0 (String.length s)
+
 let test_protocol_poison_absurd_length () =
   let h = handler () in
   (* kind/flags then a 512 MB length prefix: a poisoned stream must answer
      a structured Failure 1000 and close, never raise into the transport *)
   let evil = "\x01\x00\x20\x00\x00\x00" ^ String.make 16 'x' in
-  let out = Protocol_handler.feed h evil in
+  let out = feed h evil in
   (match Message.decode_frame out 0 with
   | Some (Message.Failure { code; message }, _) ->
       check ib "wire code 1000" 1000 code;
@@ -115,17 +148,122 @@ let test_protocol_poison_absurd_length () =
   check bb "conversation closed" true (Protocol_handler.is_closed h);
   check ib "protocol error counted" 1 (Protocol_handler.protocol_errors h);
   check Alcotest.string "further bytes are ignored" ""
-    (Protocol_handler.feed h "garbage")
+    (feed h "garbage")
 
 let test_protocol_poison_malformed_payload () =
   let h = handler () in
   (* valid length, undecodable content *)
   let junk = "\xff\xff\x00\x00\x00\x04AAAA" in
-  let out = Protocol_handler.feed h junk in
+  let out = feed h junk in
   (match Message.decode_frame out 0 with
   | Some (Message.Failure { code; _ }, _) -> check ib "wire code 1000" 1000 code
   | _ -> Alcotest.fail "expected a Failure frame");
   check bb "closed" true (Protocol_handler.is_closed h)
+
+(* the frame guard on the in-place inbox: a length prefix exactly at the
+   limit is buffered until its payload arrives, one byte more poisons *)
+let test_protocol_frame_limit_boundary () =
+  let limit = 64 in
+  let limited () =
+    Protocol_handler.create ~max_frame_bytes:limit
+      ~users:[ ("DBC", "DBC") ]
+      ~executor:(fun ~sql:_ -> Sql_error.internal_error "no executor in test")
+      ()
+  in
+  (* a logon request whose payload is exactly [limit] bytes *)
+  let at_limit =
+    Message.encode_frame (Message.Logon_request { username = String.make (limit - 4) 'U' })
+  in
+  check ib "payload at the limit" (limit + 6) (String.length at_limit);
+  let h = limited () in
+  check Alcotest.string "header and part of the payload: buffered" ""
+    (feed h (String.sub at_limit 0 10));
+  check bb "not poisoned" false (Protocol_handler.is_closed h);
+  (match Message.decode_frame (feed h (String.sub at_limit 10 (String.length at_limit - 10))) 0 with
+  | Some (Message.Logon_challenge _, _) -> ()
+  | _ -> Alcotest.fail "expected a logon challenge once the frame completed");
+  check ib "no protocol error" 0 (Protocol_handler.protocol_errors h);
+  let h = limited () in
+  let over = Bytes.of_string "\x01\x00\x00\x00\x00\x00" in
+  Bytes.set_int32_be over 2 (Int32.of_int (limit + 1));
+  (match Message.decode_frame (feed h (Bytes.to_string over)) 0 with
+  | Some (Message.Failure { code; _ }, _) -> check ib "limit + 1: wire code 1000" 1000 code
+  | _ -> Alcotest.fail "expected Failure 1000 for limit + 1");
+  check bb "limit + 1 closes" true (Protocol_handler.is_closed h)
+
+(* a handler with a one-row executor, logged on through [feed] *)
+let logged_on_handler () =
+  let h =
+    Protocol_handler.create
+      ~users:[ ("DBC", "DBC") ]
+      ~executor:(fun ~sql ->
+        Ok
+          {
+            Protocol_handler.qr_columns =
+              [ { Message.col_name = "SQL"; col_type = Dtype.Varchar { max_len = None; case_sensitive = false } } ];
+            qr_records = [ sql ];
+            qr_activity = "SELECT";
+            qr_count = 1;
+          })
+      ()
+  in
+  let salt =
+    match
+      Message.decode_frame (feed h (Message.encode_frame (Message.Logon_request { username = "DBC" }))) 0
+    with
+    | Some (Message.Logon_challenge { salt }, _) -> salt
+    | _ -> Alcotest.fail "expected a logon challenge"
+  in
+  ignore
+    (feed h
+       (Message.encode_frame
+          (Message.Logon_auth { username = "DBC"; proof = Auth.proof ~salt ~password:"DBC" })));
+  check bb "logged on" true (Protocol_handler.is_authenticated h);
+  h
+
+let decode_all bytes =
+  let rec go pos acc =
+    match Message.decode_frame bytes pos with
+    | Some (m, next) -> go next (m :: acc)
+    | None ->
+        check ib "no trailing bytes" (String.length bytes) pos;
+        List.rev acc
+  in
+  go 0 []
+
+(* the answer [logged_on_handler] gives to one statement *)
+let answered sql = function
+  | [ Message.Response_header _; Message.Records { payload = [ r ] }; Message.Success _ ] ->
+      r = sql
+  | _ -> false
+
+let test_protocol_two_frames_one_read () =
+  let h = logged_on_handler () in
+  let two =
+    Message.encode_frame (Message.Run_request { sql = "FIRST" })
+    ^ Message.encode_frame (Message.Run_request { sql = "SECOND" })
+  in
+  match decode_all (feed h two) with
+  | [ h1; r1; s1; h2; r2; s2 ] ->
+      check bb "first answered" true (answered "FIRST" [ h1; r1; s1 ]);
+      check bb "second answered" true (answered "SECOND" [ h2; r2; s2 ])
+  | msgs ->
+      Alcotest.failf "expected two answers, got: %s"
+        (String.concat "; " (List.map Message.to_string msgs))
+
+let test_protocol_split_every_boundary () =
+  let h = logged_on_handler () in
+  let frame = Message.encode_frame (Message.Run_request { sql = "SEL SPLIT" }) in
+  let len = String.length frame in
+  for k = 1 to len - 1 do
+    check Alcotest.string (Printf.sprintf "first %d bytes: nothing yet" k) ""
+      (feed h (String.sub frame 0 k));
+    check bb
+      (Printf.sprintf "split at %d decodes" k)
+      true
+      (answered "SEL SPLIT" (decode_all (feed h (String.sub frame k (len - k)))))
+  done;
+  check ib "no protocol errors" 0 (Protocol_handler.protocol_errors h)
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                    *)
@@ -246,6 +384,103 @@ let test_server_end_to_end () =
   let dr = Server.shutdown ~timeout_s:5. server in
   check bb "clean shutdown" true dr.Server.dr_drained
 
+(* BIG gets [n] rows (a multiple of 100), ID 0 .. n - 1, with a VARCHAR,
+   a DECIMAL and a column that is NULL on every hundredth row *)
+let load_rows p n =
+  let run sql = ignore (Pipeline.run_sql p sql) in
+  run "CREATE TABLE D (N INTEGER)";
+  for i = 0 to 99 do
+    run (Printf.sprintf "INS D (%d)" i)
+  done;
+  run "CREATE TABLE BIG (ID INTEGER, V VARCHAR(20), A DECIMAL(8,2), M INTEGER)";
+  run
+    (Printf.sprintf
+       "INSERT INTO BIG SELECT A.N * 100 + B.N, CAST(B.N AS VARCHAR(10)), A.N * 1.25, \
+        NULLIF(B.N, 7) FROM D A, D B WHERE A.N < %d"
+       (n / 100))
+
+let value = Alcotest.testable Value.pp ( = )
+let rows = Alcotest.(list (array value))
+
+let gateway_feed conn frame =
+  Gateway.feed conn (Bytes.of_string frame) 0 (String.length frame)
+
+(* The gateway sends the Result Converter's records as they are: the
+   Records parcels of an answer, concatenated, are byte for byte what
+   [Result_converter.convert] makes of the same result, in parcels of at
+   most 128 records; errors still answer one Failure with their wire
+   code. *)
+let test_gateway_one_encoding_per_row () =
+  let p = Pipeline.create () in
+  load_rows p 300;
+  let conn = Gateway.connect (Gateway.create p) () in
+  let salt =
+    match
+      decode_all
+        (gateway_feed conn (Message.encode_frame (Message.Logon_request { username = "DBC" })))
+    with
+    | [ Message.Logon_challenge { salt } ] -> salt
+    | _ -> Alcotest.fail "expected a logon challenge"
+  in
+  (match
+     decode_all
+       (gateway_feed conn
+          (Message.encode_frame
+             (Message.Logon_auth { username = "DBC"; proof = Auth.proof ~salt ~password:"DBC" })))
+   with
+  | [ Message.Logon_response { success = true; _ } ] -> ()
+  | _ -> Alcotest.fail "logon failed");
+  let ask sql = decode_all (gateway_feed conn (Message.encode_frame (Message.Run_request { sql }))) in
+  List.iter
+    (fun n ->
+      let sql = Printf.sprintf "SEL ID, V, A, M FROM BIG WHERE ID < %d ORDER BY ID" n in
+      let msgs = ask sql in
+      let parcels =
+        List.filter_map (function Message.Records { payload } -> Some payload | _ -> None) msgs
+      in
+      check ib (Printf.sprintf "%d rows: parcels" n) ((n + 127) / 128) (List.length parcels);
+      check bb (Printf.sprintf "%d rows: at most 128 per parcel" n) true
+        (List.for_all (fun r -> List.length r <= 128) parcels);
+      let o = Pipeline.run_sql p sql in
+      let store = Result_store.create o.Pipeline.out_columns in
+      Result_store.add_rows store o.Pipeline.out_rows;
+      check (Alcotest.list Alcotest.string)
+        (Printf.sprintf "%d rows: records byte for byte" n)
+        (Result_converter.convert o.Pipeline.out_columns store)
+        (List.concat parcels);
+      match List.rev msgs with
+      | Message.Success { activity_count; _ } :: _ ->
+          check ib (Printf.sprintf "%d rows: activity count" n) n activity_count
+      | _ -> Alcotest.fail "expected a Success parcel last")
+    [ 0; 1; 128; 129; 300 ];
+  List.iter
+    (fun (sql, code) ->
+      match ask sql with
+      | [ Message.Failure { code = c; _ } ] -> check ib sql code c
+      | msgs ->
+          Alcotest.failf "%s: expected one Failure, got: %s" sql
+            (String.concat "; " (List.map Message.to_string msgs)))
+    [ ("SEL (((", 3706); ("SEL NO_SUCH FROM BIG", 3807); ("SEL 1/0", 2616) ];
+  Gateway.disconnect conn
+
+(* a 5,000-row answer (40 parcels) over TCP: the client decodes every row
+   and gets what the pipeline returns *)
+let test_server_large_answer () =
+  let server = boot () in
+  let p = Gateway.pipeline (Server.gateway server) in
+  load_rows p 5000;
+  let c = connect server in
+  let sql = "SEL ID, V, A, M FROM BIG ORDER BY ID" in
+  (match Wire_client.run c sql with
+  | Ok r ->
+      check ib "every row arrived" 5000 (List.length r.Wire_client.rp_rows);
+      check ib "activity count" 5000 r.Wire_client.rp_activity_count;
+      check rows "decoded rows = pipeline rows" (Pipeline.run_sql p sql).Pipeline.out_rows
+        r.Wire_client.rp_rows
+  | Error e -> Alcotest.failf "large answer failed: %s" (Wire_client.failure_to_string e));
+  Wire_client.close c;
+  ignore (Server.shutdown ~timeout_s:5. server)
+
 let test_server_poisons_malformed_stream () =
   let server = boot () in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -256,10 +491,11 @@ let test_server_poisons_malformed_stream () =
     (Frame_io.write_all fd ~timeout_s:2.
        ("\x01\x00\x7f\x00\x00\x00" ^ String.make 32 'z'));
   let buf = Buffer.create 64 in
+  let chunk = Bytes.create 64 in
   let rec collect () =
-    match Frame_io.read_chunk fd ~timeout_s:2.0 with
-    | Frame_io.Data s ->
-        Buffer.add_string buf s;
+    match Frame_io.read_chunk fd chunk ~timeout_s:2.0 with
+    | Frame_io.Data n ->
+        Buffer.add_subbytes buf chunk 0 n;
         if Message.decode_frame (Buffer.contents buf) 0 = None then collect ()
     | Frame_io.Eof | Frame_io.Timed_out | Frame_io.Interrupted -> ()
   in
@@ -269,8 +505,8 @@ let test_server_poisons_malformed_stream () =
       check ib "structured close with wire code 1000" 1000 code
   | _ -> Alcotest.fail "expected Failure 1000 before hangup");
   (* the server hangs up after poisoning: next read is EOF *)
-  (match Frame_io.read_chunk fd ~timeout_s:2.0 with
-  | Frame_io.Eof | Frame_io.Data "" -> ()
+  (match Frame_io.read_chunk fd chunk ~timeout_s:2.0 with
+  | Frame_io.Eof | Frame_io.Data 0 -> ()
   | Frame_io.Data _ -> Alcotest.fail "unexpected bytes after poison"
   | Frame_io.Timed_out | Frame_io.Interrupted ->
       Alcotest.fail "server kept a poisoned connection open");
@@ -502,11 +738,17 @@ let suite =
   [
     ("frame_io reassembles dribbled frames", `Quick, test_frame_io_short_reads);
     ("frame_io write_all + read deadline", `Quick, test_frame_io_write_all_and_deadline);
+    ("frame_io reads allocate nothing", `Quick, test_frame_io_read_no_alloc);
     ("poisoned stream: absurd length", `Quick, test_protocol_poison_absurd_length);
     ("poisoned stream: malformed payload", `Quick, test_protocol_poison_malformed_payload);
+    ("frame limit: at limit buffered, +1 poisons", `Quick, test_protocol_frame_limit_boundary);
+    ("two frames in one read both answered", `Quick, test_protocol_two_frames_one_read);
+    ("frame split at every byte boundary", `Quick, test_protocol_split_every_boundary);
+    ("gateway sends converter records as they are", `Quick, test_gateway_one_encoding_per_row);
     ("admission caps, queues, sheds, drains", `Quick, test_admission_caps_and_sheds);
     ("server end-to-end conversation", `Quick, test_server_end_to_end);
     ("server poisons malformed stream", `Quick, test_server_poisons_malformed_stream);
+    ("server 5,000-row answer over TCP", `Quick, test_server_large_answer);
     ("server sheds with wire code 2631", `Quick, test_server_sheds_under_overload);
     ("drain finishes inflight statements", `Quick, test_server_drain_finishes_inflight);
     ("load generator replay", `Quick, test_replay_closed_loop);

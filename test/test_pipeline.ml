@@ -51,7 +51,10 @@ let test_end_to_end_select () =
     Hyperq_core.Result_converter.decode_records o.Pipeline.out_columns
       o.Pipeline.out_records
   in
-  check ib "records equal rows" (List.length o.Pipeline.out_rows) (List.length decoded)
+  check ib "records equal rows" (List.length o.Pipeline.out_rows) (List.length decoded);
+  check
+    Alcotest.(list (array (testable Value.pp ( = ))))
+    "decoded values equal rows" o.Pipeline.out_rows decoded
 
 let test_qualify_end_to_end () =
   let _, run = fresh () in

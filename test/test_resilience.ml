@@ -358,15 +358,17 @@ let decode_all bytes =
   in
   go 0 []
 
+let feed conn frame = Gateway.feed conn (Bytes.of_string frame) 0 (String.length frame)
+
 let logon conn =
   let salt =
-    match decode_all (Gateway.feed conn (Message.encode_frame (Message.Logon_request { username = "DBC" }))) with
+    match decode_all (feed conn (Message.encode_frame (Message.Logon_request { username = "DBC" }))) with
     | [ Message.Logon_challenge { salt } ] -> salt
     | _ -> Alcotest.fail "expected logon challenge"
   in
   match
     decode_all
-      (Gateway.feed conn
+      (feed conn
          (Message.encode_frame
             (Message.Logon_auth
                { username = "DBC"; proof = Auth.proof ~salt ~password:"DBC" })))
@@ -376,7 +378,7 @@ let logon conn =
 
 let run_wire conn sql =
   decode_all
-    (Gateway.feed conn (Message.encode_frame (Message.Run_request { sql })))
+    (feed conn (Message.encode_frame (Message.Run_request { sql })))
 
 let test_gateway_workload_absorbs_faults () =
   (* the acceptance scenario: seeded transient faults, a multi-statement

@@ -165,6 +165,10 @@ let all_messages =
           [
             { Message.col_name = "A"; col_type = Dtype.Int };
             { Message.col_name = "B"; col_type = Dtype.Decimal { precision = 10; scale = 2 } };
+            {
+              Message.col_name = "C";
+              col_type = Dtype.Varchar { max_len = Some 20; case_sensitive = false };
+            };
           ];
       };
     Message.Records { payload = [ "\x00\x01\x02"; "" ] };
@@ -249,7 +253,8 @@ let test_protocol_handler_state_machine () =
     Ok
       {
         Protocol_handler.qr_columns = [ { Message.col_name = "X"; col_type = Dtype.Int } ];
-        qr_rows = [ [| Value.Int 1L |] ];
+        qr_records =
+          [ Record.encode_row [ { Record.rc_name = "X"; rc_type = Dtype.Int } ] [| Value.Int 1L |] ];
         qr_activity = "SELECT";
         qr_count = 1;
       }
