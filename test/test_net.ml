@@ -738,20 +738,20 @@ let suite =
   [
     ("frame_io reassembles dribbled frames", `Quick, test_frame_io_short_reads);
     ("frame_io write_all + read deadline", `Quick, test_frame_io_write_all_and_deadline);
-    ("frame_io reads allocate nothing", `Quick, test_frame_io_read_no_alloc);
     ("poisoned stream: absurd length", `Quick, test_protocol_poison_absurd_length);
     ("poisoned stream: malformed payload", `Quick, test_protocol_poison_malformed_payload);
-    ("frame limit: at limit buffered, +1 poisons", `Quick, test_protocol_frame_limit_boundary);
-    ("two frames in one read both answered", `Quick, test_protocol_two_frames_one_read);
-    ("frame split at every byte boundary", `Quick, test_protocol_split_every_boundary);
-    ("gateway sends converter records as they are", `Quick, test_gateway_one_encoding_per_row);
     ("admission caps, queues, sheds, drains", `Quick, test_admission_caps_and_sheds);
     ("server end-to-end conversation", `Quick, test_server_end_to_end);
     ("server poisons malformed stream", `Quick, test_server_poisons_malformed_stream);
-    ("server 5,000-row answer over TCP", `Quick, test_server_large_answer);
     ("server sheds with wire code 2631", `Quick, test_server_sheds_under_overload);
     ("drain finishes inflight statements", `Quick, test_server_drain_finishes_inflight);
     ("load generator replay", `Quick, test_replay_closed_loop);
     ("server overload + drain, 8 clients", `Quick,
       test_server_concurrent_overload_and_drain);
+    ("frame_io reads allocate nothing", `Quick, test_frame_io_read_no_alloc);
+    ("frame limit: at limit buffered, +1 poisons", `Quick, test_protocol_frame_limit_boundary);
+    ("two frames in one read both answered", `Quick, test_protocol_two_frames_one_read);
+    ("frame split at every byte boundary", `Quick, test_protocol_split_every_boundary);
+    ("gateway sends converter records as they are", `Quick, test_gateway_one_encoding_per_row);
+    ("server 5,000-row answer over TCP", `Quick, test_server_large_answer);
   ]
