@@ -1279,15 +1279,9 @@ let rules_bench () =
     [ "REVERSE"; "LOWER"; "LTRIM"; "RTRIM"; "FLOOR"; "CEILING"; "ROUND";
       "LAST_DAY" ]
   in
-  let translate_total p =
-    (* one warmup sweep, then the timed sweeps *)
-    List.iter (fun (_, sql) -> ignore (Pipeline.translate p sql)) Tpch_queries.all;
+  let sweep p =
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      List.iter
-        (fun (_, sql) -> ignore (Pipeline.translate p sql))
-        Tpch_queries.all
-    done;
+    List.iter (fun (_, sql) -> ignore (Pipeline.translate p sql)) Tpch_queries.all;
     Unix.gettimeofday () -. t0
   in
   let bare_p = Pipeline.create ~plan_cache_capacity:0 () in
@@ -1306,13 +1300,34 @@ let rules_bench () =
           List.iter (fun d -> Printf.eprintf "%s\n" (Diag.to_string d)) ds;
           exit 1)
     idle_rules;
-  let bare_s = translate_total bare_p in
-  let idle_s = translate_total idle_p in
+  (* one warm-up sweep each, then alternating timed sweeps (the order
+     flips every round, so drift on a busy host hits both sides alike);
+     the gate compares the median sweeps *)
+  ignore (sweep bare_p);
+  ignore (sweep idle_p);
+  let rounds = (4 * iters) + 1 in
+  let bare_t = Array.make rounds 0. and idle_t = Array.make rounds 0. in
+  for r = 0 to rounds - 1 do
+    if r mod 2 = 0 then begin
+      bare_t.(r) <- sweep bare_p;
+      idle_t.(r) <- sweep idle_p
+    end
+    else begin
+      idle_t.(r) <- sweep idle_p;
+      bare_t.(r) <- sweep bare_p
+    end
+  done;
+  let median a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let bare_s = median bare_t and idle_s = median idle_t in
   let overhead_pct = (idle_s -. bare_s) /. bare_s *. 100. in
   Printf.printf
-    "translate with %d idle packs: %.4f s vs %.4f s bare over %dx%d queries \
-     (%+.1f%%)\n"
-    (List.length idle_rules) idle_s bare_s iters
+    "translate with %d idle packs: median sweep %.4f s vs %.4f s bare over %d \
+     alternating rounds of %d queries (%+.1f%%)\n"
+    (List.length idle_rules) idle_s bare_s rounds
     (List.length Tpch_queries.all) overhead_pct;
   (* 3. antipattern speedup: generated-SQL shape, engine work saved by the
      rewrite (4 UPPER passes per row collapse to 1, tautology dropped) *)

@@ -22,10 +22,36 @@ type ctx = {
   mutable next_id : int;
   mutable next_param : int;
   mutable features : string list;  (** dialect features observed, for §7.1 *)
+  mutable order_context :
+    (scope * (Xtra.scalar * Xtra.scalar) list * (Xtra.col * Xtra.scalar) list) option;
+      (** side channel from bind_select to bind_query for ORDER BY
+          resolution over the last-bound select block: (scope, agg/window
+          substitutions, projection) *)
+  mutable pending_top : (Xtra.scalar option * bool * bool) option;
+      (** side channel for a pending TOP/SAMPLE clause: (count, with_ties,
+          percent), applied by bind_query above the Sort it belongs with *)
+}
+
+and range = { r_alias : string; r_cols : Xtra.col list }
+
+and scope = {
+  ranges : range list;
+  select_aliases : (string * Xtra.scalar) list;
+      (** Teradata named expressions visible in the same block *)
+  visible_ctes : (string * Xtra.schema) list;
+  parent : scope option;
 }
 
 let create_ctx ?(dialect = Dialect.Teradata) catalog =
-  { catalog; dialect; next_id = 1; next_param = 0; features = [] }
+  {
+    catalog;
+    dialect;
+    next_id = 1;
+    next_param = 0;
+    features = [];
+    order_context = None;
+    pending_top = None;
+  }
 
 let note ctx feature =
   if not (List.mem feature ctx.features) then
@@ -36,15 +62,6 @@ let fresh_col ctx name ty =
   ctx.next_id <- id + 1;
   { Xtra.id; name = String.uppercase_ascii name; ty }
 
-type range = { r_alias : string; r_cols : Xtra.col list }
-
-type scope = {
-  ranges : range list;
-  select_aliases : (string * Xtra.scalar) list;
-      (** Teradata named expressions visible in the same block *)
-  visible_ctes : (string * Xtra.schema) list;
-  parent : scope option;
-}
 
 let empty_scope =
   { ranges = []; select_aliases = []; visible_ctes = []; parent = None }
@@ -958,36 +975,26 @@ and bind_select ctx scope (s : Ast.select) : Xtra.rel * (string * Xtra.col) list
      here and applied by bind_query above the Sort operator *)
   (match s.Ast.top with
   | Some { Ast.top_count; with_ties; percent } ->
-      pending_top :=
+      ctx.pending_top <-
         Some (Some (bind_expr ctx scope_for_post top_count), with_ties, percent)
   | None -> (
       match s.Ast.sample with
       | Some e ->
-          pending_top := Some (Some (bind_expr ctx scope_for_post e), false, false)
-      | None -> pending_top := None));
+          ctx.pending_top <- Some (Some (bind_expr ctx scope_for_post e), false, false)
+      | None -> ctx.pending_top <- None));
   (* expose projection aliases (plus pre-projection scope info) so that the
      caller can resolve ORDER BY *)
   let named_outputs = List.map (fun ((c : Xtra.col), _) -> (c.Xtra.name, c)) proj in
   (* stash enough info for order-by binding: the caller re-binds via scope
      and must apply the same aggregate/window substitutions this block did *)
-  order_context := Some (scope_for_post, post_subst @ wsubst, proj);
+  ctx.order_context <- Some (scope_for_post, post_subst @ wsubst, proj);
   (rel, named_outputs)
 
-(* Side channel from bind_select to bind_query for ORDER BY resolution over
-   the last-bound select block: (scope, agg/window substitutions, projection). *)
-and order_context :
-    (scope * (Xtra.scalar * Xtra.scalar) list * (Xtra.col * Xtra.scalar) list) option ref =
-  ref None
-
-(* Side channel for a pending TOP/SAMPLE clause: (count, with_ties, percent).
-   Applied by bind_query above the Sort operator it belongs with. *)
-and pending_top : (Xtra.scalar option * bool * bool) option ref = ref None
-
-and apply_pending_top rel =
-  match !pending_top with
+and apply_pending_top ctx rel =
+  match ctx.pending_top with
   | None -> rel
   | Some (count, with_ties, percent) ->
-      pending_top := None;
+      ctx.pending_top <- None;
       Xtra.Limit { input = rel; count; offset = None; with_ties; percent }
 
 (* ------------------------------------------------------------------ *)
@@ -1000,11 +1007,11 @@ and bind_query_body ctx scope (b : Ast.query_body) : Xtra.rel =
       let rel, _ = bind_select ctx scope s in
       rel
   | Ast.Q_setop (op, all, l, r) ->
-      order_context := None;
-      let lrel = apply_pending_top (bind_query_body ctx scope l) in
+      ctx.order_context <- None;
+      let lrel = apply_pending_top ctx (bind_query_body ctx scope l) in
       let lschema = Xtra.schema_of lrel in
-      let rrel = apply_pending_top (bind_query_body ctx scope r) in
-      order_context := None;
+      let rrel = apply_pending_top ctx (bind_query_body ctx scope r) in
+      ctx.order_context <- None;
       let rschema = Xtra.schema_of rrel in
       if List.length lschema <> List.length rschema then
         Sql_error.bind_error "set operation arity mismatch (%d vs %d)"
@@ -1066,9 +1073,9 @@ and bind_query ctx scope (q : Ast.query) : Xtra.rel =
       (!scope, List.rev !bound, q.Ast.recursive)
     end
   in
-  order_context := None;
+  ctx.order_context <- None;
   let body = bind_query_body ctx scope q.Ast.body in
-  let octx = !order_context in
+  let octx = ctx.order_context in
   (* ORDER BY *)
   let rel =
     if q.Ast.order_by = [] then body
@@ -1162,7 +1169,7 @@ and bind_query ctx scope (q : Ast.query) : Xtra.rel =
     end
   in
   (* TOP / SAMPLE from the select block applies above the Sort *)
-  let rel = apply_pending_top rel in
+  let rel = apply_pending_top ctx rel in
   (* LIMIT / OFFSET *)
   let rel =
     match (q.Ast.limit, q.Ast.offset) with
@@ -1218,7 +1225,7 @@ and bind_recursive_cte ctx scope (cte : Ast.cte) : Xtra.rel =
       let seed_rel =
         bind_query_body ctx (child_scope scope) seed
       in
-      order_context := None;
+      ctx.order_context <- None;
       let schema = Xtra.schema_of seed_rel in
       let schema =
         if cte.Ast.cte_columns = [] then schema
@@ -1235,7 +1242,7 @@ and bind_recursive_cte ctx scope (cte : Ast.cte) : Xtra.rel =
         }
       in
       let rec_rel = bind_query_body ctx rec_scope recur in
-      order_context := None;
+      ctx.order_context <- None;
       if List.length (Xtra.schema_of rec_rel) <> List.length schema then
         Sql_error.bind_error "recursive member arity mismatch in %s"
           cte.Ast.cte_name;

@@ -43,141 +43,139 @@ type procedure = {
   proc_body : Hyperq_sqlparser.Ast.proc_stmt list;
 }
 
-type t = {
-  tables : (string, table) Hashtbl.t;
-  views : (string, view) Hashtbl.t;
-  macros : (string, macro) Hashtbl.t;
-  procedures : (string, procedure) Hashtbl.t;
-  mutable version : int;
+module Names = Map.Make (String)
+
+(* One immutable catalog state. Every mutation builds the next state and
+   publishes it with a compare-and-set, so lookups take no lock and a
+   concurrent reader sees each DDL statement whole. *)
+type contents = {
+  tables : table Names.t;
+  views : view Names.t;
+  macros : macro Names.t;
+  procedures : procedure Names.t;
+  version : int;
       (** monotonic DDL counter; bumped on every successful mutation so
           downstream consumers (the translation plan cache) can detect that
           previously-derived plans are stale *)
 }
 
-let create () =
-  {
-    tables = Hashtbl.create 32;
-    views = Hashtbl.create 8;
-    macros = Hashtbl.create 8;
-    procedures = Hashtbl.create 8;
-    version = 0;
-  }
+type t = contents Atomic.t
 
-let version t = t.version
-let bump t = t.version <- t.version + 1
+let create () =
+  Atomic.make
+    {
+      tables = Names.empty;
+      views = Names.empty;
+      macros = Names.empty;
+      procedures = Names.empty;
+      version = 0;
+    }
+
+let version t = (Atomic.get t).version
+
+(* Apply one mutation: [f] returns the next contents (its version bumped
+   here) or raises; a lost race re-runs it on the newer state. *)
+let rec mutate t f =
+  let before = Atomic.get t in
+  let after = { (f before) with version = before.version + 1 } in
+  if not (Atomic.compare_and_set t before after) then mutate t f
 
 (* Object names are case-insensitive in both dialects we model. *)
 let key name = String.uppercase_ascii name
 
-let find_table t name = Hashtbl.find_opt t.tables (key name)
-let find_view t name = Hashtbl.find_opt t.views (key name)
-let find_macro t name = Hashtbl.find_opt t.macros (key name)
+let find_table t name = Names.find_opt (key name) (Atomic.get t).tables
+let find_view t name = Names.find_opt (key name) (Atomic.get t).views
+let find_macro t name = Names.find_opt (key name) (Atomic.get t).macros
+let find_procedure t name =
+  Names.find_opt (key name) (Atomic.get t).procedures
 
 let table_exists t name = find_table t name <> None
 let view_exists t name = find_view t name <> None
 
+(* One object namespace of the contents. *)
+type 'a space = {
+  kind : string;
+  get : contents -> 'a Names.t;
+  set : contents -> 'a Names.t -> contents;
+}
+
+let tables_s = { kind = "table"; get = (fun c -> c.tables); set = (fun c m -> { c with tables = m }) }
+let views_s = { kind = "view"; get = (fun c -> c.views); set = (fun c m -> { c with views = m }) }
+let macros_s = { kind = "macro"; get = (fun c -> c.macros); set = (fun c m -> { c with macros = m }) }
+
+let procedures_s =
+  { kind = "procedure"; get = (fun c -> c.procedures); set = (fun c m -> { c with procedures = m }) }
+
+(* Add [v] under [name]; an existing object is an error unless [replace]. *)
+let add t s ~replace name v =
+  let k = key name in
+  mutate t (fun c ->
+      if (not replace) && Names.mem k (s.get c) then
+        Sql_error.execution_error "%s %s already exists" s.kind name;
+      s.set c (Names.add k v (s.get c)))
+
+(* Drop [name]; a missing object is an error unless [if_exists], and then
+   leaves the catalog (and its version) alone. *)
+let drop t s ~if_exists name =
+  let k = key name in
+  match
+    mutate t (fun c ->
+        if Names.mem k (s.get c) then s.set c (Names.remove k (s.get c)) else raise Not_found)
+  with
+  | () -> ()
+  | exception Not_found ->
+      if not if_exists then Sql_error.execution_error "%s %s does not exist" s.kind name
+
 let add_table t (tbl : table) =
-  if Hashtbl.mem t.tables (key tbl.tbl_name) then
-    Sql_error.execution_error "table %s already exists" tbl.tbl_name;
-  Hashtbl.replace t.tables (key tbl.tbl_name) { tbl with tbl_name = key tbl.tbl_name };
-  bump t
+  add t tables_s ~replace:false tbl.tbl_name { tbl with tbl_name = key tbl.tbl_name }
 
 let replace_table t (tbl : table) =
-  Hashtbl.replace t.tables (key tbl.tbl_name) { tbl with tbl_name = key tbl.tbl_name };
-  bump t
+  add t tables_s ~replace:true tbl.tbl_name { tbl with tbl_name = key tbl.tbl_name }
 
-let drop_table t ~if_exists name =
-  if Hashtbl.mem t.tables (key name) then begin
-    Hashtbl.remove t.tables (key name);
-    bump t
-  end
-  else if not if_exists then
-    Sql_error.execution_error "table %s does not exist" name
+let drop_table t ~if_exists name = drop t tables_s ~if_exists name
 
 let rename_table t ~from_name ~to_name =
-  match find_table t from_name with
-  | None -> Sql_error.execution_error "table %s does not exist" from_name
-  | Some tbl ->
-      if Hashtbl.mem t.tables (key to_name) then
-        Sql_error.execution_error "table %s already exists" to_name;
-      Hashtbl.remove t.tables (key from_name);
-      Hashtbl.replace t.tables (key to_name) { tbl with tbl_name = key to_name };
-      bump t
+  mutate t (fun c ->
+      match Names.find_opt (key from_name) c.tables with
+      | None -> Sql_error.execution_error "table %s does not exist" from_name
+      | Some tbl ->
+          if Names.mem (key to_name) c.tables then
+            Sql_error.execution_error "table %s already exists" to_name;
+          {
+            c with
+            tables =
+              Names.add (key to_name) { tbl with tbl_name = key to_name }
+                (Names.remove (key from_name) c.tables);
+          })
 
 let add_view t ~replace (v : view) =
-  if (not replace) && Hashtbl.mem t.views (key v.view_name) then
-    Sql_error.execution_error "view %s already exists" v.view_name;
-  Hashtbl.replace t.views (key v.view_name) { v with view_name = key v.view_name };
-  bump t
+  add t views_s ~replace v.view_name { v with view_name = key v.view_name }
 
-let drop_view t ~if_exists name =
-  if Hashtbl.mem t.views (key name) then begin
-    Hashtbl.remove t.views (key name);
-    bump t
-  end
-  else if not if_exists then
-    Sql_error.execution_error "view %s does not exist" name
+let drop_view t ~if_exists name = drop t views_s ~if_exists name
 
 let add_macro t ~replace (m : macro) =
-  if (not replace) && Hashtbl.mem t.macros (key m.macro_name) then
-    Sql_error.execution_error "macro %s already exists" m.macro_name;
-  Hashtbl.replace t.macros (key m.macro_name)
-    { m with macro_name = key m.macro_name };
-  bump t
+  add t macros_s ~replace m.macro_name { m with macro_name = key m.macro_name }
 
-let drop_macro t ~if_exists name =
-  if Hashtbl.mem t.macros (key name) then begin
-    Hashtbl.remove t.macros (key name);
-    bump t
-  end
-  else if not if_exists then
-    Sql_error.execution_error "macro %s does not exist" name
-
-let find_procedure t name = Hashtbl.find_opt t.procedures (key name)
+let drop_macro t ~if_exists name = drop t macros_s ~if_exists name
 
 let add_procedure t ~replace (pr : procedure) =
-  if (not replace) && Hashtbl.mem t.procedures (key pr.proc_name) then
-    Sql_error.execution_error "procedure %s already exists" pr.proc_name;
-  Hashtbl.replace t.procedures (key pr.proc_name)
-    { pr with proc_name = key pr.proc_name };
-  bump t
+  add t procedures_s ~replace pr.proc_name { pr with proc_name = key pr.proc_name }
 
-let drop_procedure t ~if_exists name =
-  if Hashtbl.mem t.procedures (key name) then begin
-    Hashtbl.remove t.procedures (key name);
-    bump t
-  end
-  else if not if_exists then
-    Sql_error.execution_error "procedure %s does not exist" name
+let drop_procedure t ~if_exists name = drop t procedures_s ~if_exists name
 
-let procedures t =
-  Hashtbl.fold (fun _ v acc -> v :: acc) t.procedures []
-  |> List.sort (fun a b -> String.compare a.proc_name b.proc_name)
-
-let tables t =
-  Hashtbl.fold (fun _ v acc -> v :: acc) t.tables []
-  |> List.sort (fun a b -> String.compare a.tbl_name b.tbl_name)
-
-let views t =
-  Hashtbl.fold (fun _ v acc -> v :: acc) t.views []
-  |> List.sort (fun a b -> String.compare a.view_name b.view_name)
-
-let macros t =
-  Hashtbl.fold (fun _ v acc -> v :: acc) t.macros []
-  |> List.sort (fun a b -> String.compare a.macro_name b.macro_name)
+(* [Names] iterates in key order, and keys are the normalized names *)
+let values m = Names.fold (fun _ v acc -> v :: acc) m [] |> List.rev
+let procedures t = values (Atomic.get t).procedures
+let tables t = values (Atomic.get t).tables
+let views t = values (Atomic.get t).views
+let macros t = values (Atomic.get t).macros
 
 let column tbl name =
   List.find_opt
     (fun c -> String.uppercase_ascii c.col_name = String.uppercase_ascii name)
     tbl.tbl_columns
 
-(** Deep-copy into a fresh catalog (used to give each gateway session an
-    isolated volatile-table namespace in tests). *)
-let copy t =
-  {
-    tables = Hashtbl.copy t.tables;
-    views = Hashtbl.copy t.views;
-    macros = Hashtbl.copy t.macros;
-    procedures = Hashtbl.copy t.procedures;
-    version = t.version;
-  }
+(** An independent catalog starting from [t]'s current contents (used to
+    give each gateway session an isolated volatile-table namespace in
+    tests). *)
+let copy t = Atomic.make (Atomic.get t)

@@ -4,7 +4,11 @@
     and expanded inline at bind time), Teradata macros and stored procedures
     (emulated in the middle tier), and column properties the target system
     cannot represent — the paper's "DTM catalog". Object names are
-    case-insensitive and normalized to uppercase. *)
+    case-insensitive and normalized to uppercase.
+
+    The contents are one immutable state in an [Atomic.t]: every mutation
+    publishes the next state with a compare-and-set, so lookups take no
+    lock and are safe from any domain while another mutates. *)
 
 open Hyperq_sqlvalue
 
@@ -86,5 +90,5 @@ val procedures : t -> procedure list
 (** Case-insensitive column lookup within a table. *)
 val column : table -> string -> column option
 
-(** Deep copy (independent object namespaces). *)
+(** An independent catalog starting from [t]'s current contents. *)
 val copy : t -> t

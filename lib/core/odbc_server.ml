@@ -27,20 +27,20 @@ type t = {
           motivation for batching single-row DML, §4.3); 0 by default *)
   fault : Hyperq_engine.Fault.t option;
       (** fault-injection shim consulted before each forwarded request *)
-  mutable requests_submitted : int;
+  requests_submitted : int Atomic.t;
 }
 
 let engine_driver (backend : Backend.t) =
   { driver_name = "engine"; submit = (fun ~sql -> Backend.execute_sql backend sql) }
 
 let create ?(batch_rows = 512) ?(request_latency_s = 0.) ?fault driver =
-  { driver; batch_rows; request_latency_s; fault; requests_submitted = 0 }
+  { driver; batch_rows; request_latency_s; fault; requests_submitted = Atomic.make 0 }
 
 (** Submit one request through the driver, paying the simulated round-trip.
     When a fault injector is installed, it runs first and may raise a
     transient error or delay the request. *)
 let submit t ~sql : Backend.result =
-  t.requests_submitted <- t.requests_submitted + 1;
+  Atomic.incr t.requests_submitted;
   (match t.fault with Some f -> Hyperq_engine.Fault.check f | None -> ());
   if t.request_latency_s > 0. then Unix.sleepf t.request_latency_s;
   t.driver.submit ~sql

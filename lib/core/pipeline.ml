@@ -106,6 +106,8 @@ type telemetry = {
   error_counters : (Hyperq_sqlvalue.Sql_error.kind * Obs.counter) list;
   validator_runs_total : Obs.counter;
   validator_violations_total : Obs.counter;
+  write_lock_wait : Obs.histogram;
+      (** wait for [lock] of each backend request a writing statement makes *)
 }
 
 type t = {
@@ -122,17 +124,20 @@ type t = {
           [Session.rule_packs] (set via [load_rule_pack ~activate:true]) *)
   tel : telemetry;  (** metric handles into the pipeline's registry *)
   clock : Obs.clock;  (** time source for stage timing and session stamps *)
-  lock : Mutex.t;  (** serializes backend access and catalog mutation *)
+  lock : Mutex.t;
+      (** the writer lock: serializes the backend requests of statements
+          that write (DML, DDL, transactions, emulation routes); read-only
+          statements never take it *)
   validate : bool;
       (** run the plan validator after bind and after each transform pass *)
   infer_rel_rules : (Transformer.ctx -> Xtra.rel -> Xtra.rel option) list;
       (** inference-driven relational passes (contradiction pruning,
           outer-join strengthening) appended to every Transformer run;
           empty when the pipeline was created with [~infer:false] *)
-  mutable validator_diags : Diag.t list;
+  validator_diags : Diag.t list Atomic.t;
       (** most recent validator diagnostics, newest first (capped) *)
-  mutable temp_counter : int;
-  mutable queries_translated : int;
+  temp_counter : int Atomic.t;
+  queries_translated : int Atomic.t;
 }
 
 type outcome = {
@@ -199,6 +204,12 @@ let make_telemetry obs cache resil rules =
         Obs.counter obs
           ~help:"Invariant violations reported by the plan validator"
           "hyperq_validator_violations_total";
+      write_lock_wait =
+        Obs.histogram obs
+          ~help:
+            "Wait for the pipeline's writer lock, per backend request of a \
+             writing statement (read-only statements never take it)"
+          "hyperq_pipeline_write_lock_wait_seconds";
     }
   in
   Obs.register_collector obs ~kind:`Counter
@@ -313,20 +324,16 @@ let create ?(cap = Capability.ansi_engine) ?(request_latency_s = 0.)
     lock = Mutex.create ();
     validate;
     infer_rel_rules = (if infer then Infer.rel_passes ~catalog:vcatalog () else []);
-    validator_diags = [];
-    temp_counter = 0;
-    queries_translated = 0;
+    validator_diags = Atomic.make [];
+    temp_counter = Atomic.make 0;
+    queries_translated = Atomic.make 0;
   }
 
 let obs t = t.tel.obs
 let now t = t.clock.Obs.now ()
 
 let fresh_name t prefix =
-  Mutex.lock t.lock;
-  t.temp_counter <- t.temp_counter + 1;
-  let n = t.temp_counter in
-  Mutex.unlock t.lock;
-  Printf.sprintf "HQ_%s_%d" prefix n
+  Printf.sprintf "HQ_%s_%d" prefix (1 + Atomic.fetch_and_add t.temp_counter 1)
 
 (* --- per-call mutable context ----------------------------------------- *)
 
@@ -343,6 +350,9 @@ type call_ctx = {
       (** true once the emulation layer re-enters the pipeline for inner
           statements; suppresses plan-cache capture for those *)
   mutable route : Compiler.route;  (** the route the statement took *)
+  mutable read_only : bool;
+      (** the statement is a bound query on the target route (or a replay
+          of one): its backend requests skip the writer lock *)
   mutable bind_s : float;  (** time spent in the Bind stage *)
   mutable cache_candidate : Plan_cache.entry option;
       (** translation captured on the plain path, ready to be cached *)
@@ -390,6 +400,7 @@ let make_cc ?(tracer = Obs.no_tracer) ?rules_active t session params =
     emulation_tags = [];
     nested = false;
     route = Compiler.Target;
+    read_only = false;
     bind_s = 0.;
     cache_candidate = None;
     parse_s = 0.;
@@ -457,23 +468,33 @@ let record_validation t ~phase ~rules bound =
       in
       if errors > 0 then
         Obs.add t.tel.validator_violations_total (float_of_int errors);
-      Mutex.lock t.lock;
-      t.validator_diags <-
-        List.filteri
-          (fun i _ -> i < validator_diag_cap)
-          (diags @ t.validator_diags);
-      Mutex.unlock t.lock
+      let rec push () =
+        let before = Atomic.get t.validator_diags in
+        let after = List.filteri (fun i _ -> i < validator_diag_cap) (diags @ before) in
+        if not (Atomic.compare_and_set t.validator_diags before after) then push ()
+      in
+      push ()
 
-let validator_diagnostics t =
+let validator_diagnostics t = Atomic.get t.validator_diags
+
+(* Run one backend request of a writing statement under the writer lock;
+   the wait is observed after the unlock (registry calls never run under
+   subsystem locks). *)
+let with_write_lock t f =
+  let t0 = now t in
   Mutex.lock t.lock;
-  let d = t.validator_diags in
-  Mutex.unlock t.lock;
-  d
+  let waited = now t -. t0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.unlock t.lock;
+      Obs.observe t.tel.write_lock_wait waited)
+    f
 
 (* Every backend request goes through the resilience layer: transient
-   failures retry with backoff (the pipeline lock is held only inside each
+   failures retry with backoff (the writer lock is held only inside each
    attempt, never across a backoff sleep), sustained failures trip the
-   per-backend breaker and surface as [Unavailable]. *)
+   per-backend breaker and surface as [Unavailable]. A read-only statement
+   runs against the engine's table and catalog snapshots without the lock. *)
 let submit_backend cc ~sql =
   let t = cc.pipeline in
   Resilience.call t.resil ?deadline_at:cc.deadline_at
@@ -481,10 +502,8 @@ let submit_backend cc ~sql =
       Obs.inc t.tel.retries_total;
       Obs.trace_add_retry cc.tracer)
     (fun () ->
-      Mutex.lock t.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.lock)
-        (fun () -> Odbc_server.submit t.odbc ~sql))
+      if cc.read_only then Odbc_server.submit t.odbc ~sql
+      else with_write_lock t (fun () -> Odbc_server.submit t.odbc ~sql))
 
 let validator t = if t.validate then Some (record_validation t) else None
 
@@ -532,6 +551,13 @@ let sync_catalog cc (c : Compiler.t) =
   | Some (Xtra.Drop_table { dt_name; _ }) -> Session.unregister_volatile cc.session dt_name
   | _ -> ()
 
+(* A statement is read-only when the compile step bound it to a query and
+   routed it to the target: one request that only reads. *)
+let read_only (c : Compiler.t) =
+  match (c.Compiler.route, c.Compiler.bound) with
+  | Compiler.Target, Some (Xtra.Query _) -> true
+  | _ -> false
+
 (* The plan-cache entry for a compiled statement: only queries and DML
    served by one target statement, which leave the catalog and the session
    untouched, are memoized. *)
@@ -559,6 +585,7 @@ let cache_entry (c : Compiler.t) ~bind_s ~translate_s =
                  });
           e_bind_s = bind_s;
           e_translate_s = translate_s;
+          e_read_only = read_only c;
         }
   | _ -> None
 
@@ -673,7 +700,9 @@ let rec run_ast_statement cc (ast : Ast.statement) : Backend.result =
   if not cc.nested then cc.route <- c.Compiler.route;
   cc.binder_features <- c.Compiler.features @ cc.binder_features;
   match (c.Compiler.route, c.Compiler.lowered) with
-  | Compiler.Target, Some l -> run_target cc c l
+  | Compiler.Target, Some l ->
+      if not cc.nested then cc.read_only <- read_only c;
+      run_target cc c l
   | Compiler.Emulate e, _ ->
       note_tag cc (Compiler.tag e);
       emulate cc c e
@@ -733,16 +762,11 @@ and emulate cc (c : Compiler.t) e : Backend.result =
 
 (* --- public entry points ------------------------------------------------ *)
 
-(* gateway sessions may run on multiple domains; both counters are guarded
-   by the pipeline lock so concurrent increments aren't lost *)
+(* gateway sessions run on several domains: the pipeline-wide count is
+   atomic; a session runs one statement at a time *)
 let bump_counters t (session : Session.t) =
-  Mutex.lock t.lock;
-  t.queries_translated <- t.queries_translated + 1;
+  Atomic.incr t.queries_translated;
   session.Session.queries_run <- session.Session.queries_run + 1;
-  Mutex.unlock t.lock;
-  (* after the unlock: registry calls never run under subsystem locks (the
-     registry's render path takes those locks through its pull collectors,
-     so nesting the other way around would invert the lock order) *)
   Obs.inc t.tel.queries_total
 
 let cache_key ?(rules = "") ~cap sql =
@@ -840,6 +864,7 @@ let with_query_telemetry t ~session ~sql f =
    transform + serialize. *)
 let replay cc (entry : Plan_cache.entry) : Backend.result =
   cc.binder_features <- entry.Plan_cache.e_binder_features;
+  cc.read_only <- entry.Plan_cache.e_read_only;
   match entry.Plan_cache.e_plan with
   | Some plan ->
       let sql = plan.Plan_cache.p_target_sql in
@@ -1060,10 +1085,7 @@ let end_session t (session : Session.t) =
   List.iter
     (fun name ->
       try
-        Mutex.lock t.lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.lock)
-          (fun () ->
+        with_write_lock t (fun () ->
             ignore
               (Backend.execute_sql t.backend
                  (Printf.sprintf "DROP TABLE IF EXISTS %s" name));

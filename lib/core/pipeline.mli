@@ -48,6 +48,9 @@ type telemetry = {
           (at zero) before any failure occurs *)
   validator_runs_total : Hyperq_obs.Obs.counter;
   validator_violations_total : Hyperq_obs.Obs.counter;
+  write_lock_wait : Hyperq_obs.Obs.histogram;
+      (** [hyperq_pipeline_write_lock_wait_seconds]: wait for {!t.lock},
+          observed once per backend request of a writing statement *)
 }
 
 type t = {
@@ -65,7 +68,14 @@ type t = {
   tel : telemetry;  (** metric handles into the pipeline's registry *)
   clock : Hyperq_obs.Obs.clock;
       (** time source for stage timing and session stamps (the registry's) *)
-  lock : Mutex.t;  (** serializes backend access and catalog mutation *)
+  lock : Mutex.t;
+      (** The writer lock. It serializes the backend requests of statements
+          that write: DML, DDL, transactions and every emulation route. A
+          statement the compile step bound to a query on the target route
+          (or a plan-cache replay of one) is read-only and never takes it:
+          it runs against immutable snapshots of the engine's tables and of
+          both catalogs, which writers replace atomically, so it sees each
+          writing statement whole or not at all. *)
   validate : bool;
       (** run the plan validator after bind and after each transform pass *)
   infer_rel_rules :
@@ -76,11 +86,10 @@ type t = {
       (** inference-driven relational passes (contradiction pruning,
           outer-join strengthening) appended to every Transformer run;
           empty when the pipeline was created with [~infer:false] *)
-  mutable validator_diags : Hyperq_analyze.Diag.t list;
-      (** most recent validator diagnostics, newest first (capped);
-          guarded by [lock] *)
-  mutable temp_counter : int;
-  mutable queries_translated : int;  (** guarded by [lock] *)
+  validator_diags : Hyperq_analyze.Diag.t list Atomic.t;
+      (** most recent validator diagnostics, newest first (capped) *)
+  temp_counter : int Atomic.t;
+  queries_translated : int Atomic.t;
 }
 
 type outcome = {

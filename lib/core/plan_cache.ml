@@ -47,6 +47,9 @@ type entry = {
   e_plan : plan option;  (** [None] when [e_has_params] *)
   e_bind_s : float;  (** observed parse+bind cost at miss time *)
   e_translate_s : float;  (** observed full translation cost at miss time *)
+  e_read_only : bool;
+      (** a bound query on the target route: a replay only reads, so it
+          runs without the pipeline's writer lock *)
 }
 
 (* --- intrusive doubly-linked LRU list --------------------------------- *)

@@ -38,6 +38,10 @@ type entry = {
   e_plan : plan option;  (** [None] when [e_has_params] *)
   e_bind_s : float;  (** parse+bind cost observed at miss time *)
   e_translate_s : float;  (** full translation cost observed at miss time *)
+  e_read_only : bool;
+      (** the compile step bound a query and routed it to the target, so a
+          replay only reads and skips the pipeline's writer lock; derived
+          from the bound plan, never from the SQL text *)
 }
 
 type stats = {

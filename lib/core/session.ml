@@ -30,7 +30,7 @@ type t = {
   created_at : float;
 }
 
-let counter = ref 0
+let counter = Atomic.make 0
 
 let default_settings =
   [
@@ -45,9 +45,8 @@ let default_settings =
 (* [created_at] lets the gateway/pipeline stamp sessions from their
    injectable clock; the wall clock is only a fallback for bare callers *)
 let create ?(username = "HYPERQ") ?created_at () =
-  incr counter;
   {
-    session_id = !counter;
+    session_id = 1 + Atomic.fetch_and_add counter 1;
     username;
     settings = default_settings;
     in_transaction = false;

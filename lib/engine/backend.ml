@@ -18,7 +18,7 @@ type t = {
   catalog : Catalog.t;
   storage : Storage.t;
   mutable session_user : string;
-  mutable queries_executed : int;
+  queries_executed : int Atomic.t;
   mutable exec_mode : exec_mode;
   mutable exec_domains : int;
 }
@@ -44,7 +44,7 @@ let create () =
     catalog = Catalog.create ();
     storage = Storage.create ();
     session_user = "HYPERQ";
-    queries_executed = 0;
+    queries_executed = Atomic.make 0;
     exec_mode = default_exec_mode ();
     exec_domains = Morsel.configured_domains ();
   }
@@ -162,7 +162,7 @@ let exec_update_row t ~target ~assignments ~extra_from ~pred ~(schema : Xtra.sch
       let cols = Array.of_list table.Catalog.tbl_columns in
       let updated = ref 0 in
       let rows =
-        List.map
+        Array.map
           (fun row ->
             tframe.Executor.row <- row;
             Executor.push_frame ctx tframe;
@@ -253,7 +253,8 @@ let exec_delete_row t ~target ~extra_from ~pred ~(schema : Xtra.schema) =
             Executor.pop_frame ctx;
             if matches then incr deleted;
             not matches)
-          (Storage.scan t.storage target)
+          (Array.to_list (Storage.scan t.storage target))
+        |> Array.of_list
       in
       Storage.replace_rows t.storage target rows;
       dml_result "DELETE" !deleted
@@ -473,7 +474,7 @@ let exec_update_batch t ~target ~assignments ~extra_from ~pred
             (lazy (col_pos table name), Batch_exec.compile_scalar ctx index e))
           assignments
       in
-      let rows = Array.of_list (Storage.scan t.storage target) in
+      let rows = Storage.scan t.storage target in
       let out = Array.copy rows in
       let updated = ref 0 in
       iter_matches ctx ~tschema:schema ~trows:rows ~from ~pred ~want_pair:true
@@ -486,7 +487,7 @@ let exec_update_batch t ~target ~assignments ~extra_from ~pred
               row'.(p) <- Value.cast (f b k) cols.(p).Catalog.col_type)
             sets;
           out.(i) <- row');
-      Storage.replace_rows t.storage target (Array.to_list out);
+      Storage.replace_rows t.storage target out;
       dml_result "UPDATE" !updated
 
 let exec_delete_batch t ~target ~extra_from ~pred ~(schema : Xtra.schema) =
@@ -495,19 +496,27 @@ let exec_delete_batch t ~target ~extra_from ~pred ~(schema : Xtra.schema) =
   | Some _ ->
       let ctx = exec_ctx t in
       let from = batch_from t ctx extra_from in
-      let rows = Array.of_list (Storage.scan t.storage target) in
+      let rows = Storage.scan t.storage target in
       let keep = Array.make (Array.length rows) true in
       let deleted = ref 0 in
       iter_matches ctx ~tschema:schema ~trows:rows ~from ~pred ~want_pair:false
         (fun i _ _ ->
           incr deleted;
           keep.(i) <- false);
-      Storage.replace_rows t.storage target
-        (List.filteri (fun i _ -> keep.(i)) (Array.to_list rows));
+      let kept = Array.make (Array.length rows - !deleted) [||] in
+      let j = ref 0 in
+      Array.iteri
+        (fun i r ->
+          if keep.(i) then begin
+            kept.(!j) <- r;
+            incr j
+          end)
+        rows;
+      Storage.replace_rows t.storage target kept;
       dml_result "DELETE" !deleted
 
 let rec exec_statement t (st : Xtra.statement) : result =
-  t.queries_executed <- t.queries_executed + 1;
+  Atomic.incr t.queries_executed;
   let st = Optimizer.optimize_statement st in
   (if Sys.getenv_opt "HYPERQ_PLAN_DEBUG" <> None then
      match st with

@@ -12,7 +12,7 @@ type t = {
   catalog : Hyperq_catalog.Catalog.t;  (** the engine's physical catalog *)
   storage : Storage.t;
   mutable session_user : string;
-  mutable queries_executed : int;
+  queries_executed : int Atomic.t;
   mutable exec_mode : exec_mode;
       (** which executor runs queries, DML sources and UPDATE/DELETE
           predicates; [Row] is the reference oracle. Defaults to [Batch]

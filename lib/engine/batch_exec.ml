@@ -698,18 +698,21 @@ let unbox_hint ctx (schema : Xtra.schema) (pred : Xtra.scalar) =
     (Executor.split_conjuncts pred);
   hint
 
-let dbg_times : (string, float ref) Hashtbl.t = Hashtbl.create 8
+(* per-operator debug timings of the statements this domain runs *)
+let dbg_times_key : (string, float ref) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 (* Re-read per call (not lazy) so tests can toggle the variable at runtime.
    Parallel regions bypass the per-op timing wrapper — fragment work inside a
    region is attributed to the op that drives the region — so [dbg_times]
-   stays a caller-thread-only structure. *)
+   stays a caller-domain-only structure. *)
 let dbg_enabled () =
   match Sys.getenv_opt "HYPERQ_EXEC_DEBUG" with
   | None | Some "" -> false (* empty = off, so tests can putenv it away *)
   | Some _ -> true
 
 let dbg_report () =
+  let dbg_times = Domain.DLS.get dbg_times_key in
   let all = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) dbg_times [] in
   List.iter
     (fun (k, t) -> Printf.eprintf "      %-12s %8.2f ms (incl. inputs)\n" k (1000. *. t))
@@ -1262,6 +1265,7 @@ let rec compile ctx (r : Xtra.rel) : op =
   if not (dbg_enabled ()) then compile_node ctx r
   else begin
     let op = compile_node ctx r in
+    let dbg_times = Domain.DLS.get dbg_times_key in
     let slot =
       match Hashtbl.find_opt dbg_times (rel_label r) with
       | Some s -> s
@@ -1492,16 +1496,7 @@ and compile_get ctx (r : Xtra.rel) ?unbox () : op =
       let schema = Xtra.schema_of r in
       let tys = tys_of schema in
       let width = List.length table_schema in
-      let arr =
-        lazy
-          (let rows = Storage.scan ctx.Executor.storage table in
-           List.iter
-             (fun (row : Executor.row) ->
-               if Array.length row <> width then
-                 Sql_error.internal_error "width mismatch scanning %s" table)
-             rows;
-           Array.of_list rows)
-      in
+      let arr = lazy (Storage.scan ctx.Executor.storage ~width table) in
       let pos = ref 0 in
       let seq_next () =
         let a = Lazy.force arr in

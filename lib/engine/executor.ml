@@ -1026,13 +1026,8 @@ and exec_join ctx kind left right pred =
 and exec ctx (r : Xtra.rel) : row list =
   match r with
   | Xtra.Get { table; table_schema; _ } ->
-      let rows = Storage.scan ctx.storage table in
-      let width = List.length table_schema in
-      List.map
-        (fun row ->
-          if Array.length row = width then row
-          else Sql_error.internal_error "width mismatch scanning %s" table)
-        rows
+      Array.to_list
+        (Storage.scan ctx.storage ~width:(List.length table_schema) table)
   | Xtra.Values_rel { rows; _ } ->
       List.map (fun exprs -> Array.of_list (List.map (eval ctx) exprs)) rows
   | Xtra.Filter { input; pred } ->

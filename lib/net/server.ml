@@ -19,7 +19,18 @@
     Drain (SIGTERM): stop accepting, shed queued and future statements,
     finish every admitted statement, write its response, then close
     connections. Workers poll the drain flag between requests, so an idle
-    connection closes within one {!Frame_io.poll_interval_s}. *)
+    connection closes within one {!Frame_io.poll_interval_s}.
+
+    Domains: every connection starts on the main domain, where all worker
+    threads share one runtime lock. When a statement is admitted while
+    another statement is executing on the same domain, its connection moves,
+    once its response is written, to the least-loaded started domain, where
+    a thread of that domain serves it from then on. A new domain is started
+    only when every started domain already serves a connection, up to
+    [Domain.recommended_domain_count ()] in all. The connection's state
+    (socket, read buffer, gateway connection) is plain data handed over
+    under the queue lock. Traffic that never overlaps never starts a
+    domain. *)
 
 open Hyperq_sqlvalue
 module Gateway = Hyperq_core.Gateway
@@ -54,6 +65,34 @@ let default_config =
     admission = Admission.default_config;
   }
 
+(* A started domain serving connections. Slot 0 is the main domain, served
+   by the worker pool; every other slot runs a dispatcher that gives each
+   connection handed to it a thread of its own. All mutable fields are
+   guarded by the server's [qlock]. *)
+type slot = {
+  moved_in : link Queue.t;  (** connections handed over, not yet picked up *)
+  wake : Condition.t;
+  mutable load : int;  (** connections this domain serves *)
+  mutable running : int;  (** statements executing on this domain *)
+  mutable ended : Thread.t list;
+      (** serving threads of a non-main domain that have returned, for its
+          dispatcher to join *)
+}
+
+(* One connection's state, handed between domains as plain data. *)
+and link = {
+  fd : Unix.file_descr;
+  inbuf : Bytes.t;  (** every read lands here *)
+  conn : Gateway.connection;
+  place : place;
+}
+
+and place = {
+  mutable home : slot;
+  mutable move_wanted : bool;
+      (** a statement was admitted while another ran on [home] *)
+}
+
 type t = {
   cfg : config;
   gateway : Gateway.t;
@@ -64,9 +103,13 @@ type t = {
   queue : Unix.file_descr Queue.t;
   qlock : Mutex.t;
   qcond : Condition.t;
+  main_slot : slot;  (** its [wake] is [qcond] *)
+  mutable slots : slot list;  (** started domains, main first; [qlock] *)
+  mutable domains : unit Domain.t list;  (** the started non-main domains *)
+  max_domains : int;
   (* lifecycle *)
-  mutable draining : bool;
-  mutable stopping : bool;  (** hard stop: interrupt reads, close everything *)
+  draining : bool Atomic.t;
+  stopping : bool Atomic.t;  (** hard stop: interrupt reads, close everything *)
   mutable accept_thread : Thread.t option;
   mutable worker_threads : Thread.t list;
   (* live connection registry, for forced shutdown *)
@@ -83,6 +126,7 @@ type t = {
   queue_wait_hist : Obs.histogram;
   exec_hist : Obs.histogram;
       (** service time of admitted statements, queue wait excluded *)
+  moves_total : Obs.counter;
   mutable statements_done : int;  (** guarded by [live_lock] *)
 }
 
@@ -111,8 +155,13 @@ let shed_error (reason : Admission.shed_reason) : Sql_error.t =
             (Admission.shed_reason_to_string r);
       }
 
-(* the admission middleware interposed on every statement execution *)
-let wrap t ~sql:_ ~(session : Session.t) run =
+let with_qlock t f =
+  Mutex.lock t.qlock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.qlock) f
+
+(* the admission middleware interposed on every statement execution; it
+   also notes a statement that overlaps another on its connection's domain *)
+let wrap t place ~sql:_ ~(session : Session.t) run =
   let clock = Obs.clock (Pipeline.obs (Gateway.pipeline t.gateway)) in
   (* stamp the deadline anchor *before* queueing: time spent waiting for
      admission counts against the statement's budget *)
@@ -121,9 +170,17 @@ let wrap t ~sql:_ ~(session : Session.t) run =
   | Error reason -> Error (shed_error reason)
   | Ok waited ->
       Obs.observe t.queue_wait_hist waited;
+      let home =
+        with_qlock t (fun () ->
+            let home = place.home in
+            if home.running > 0 then place.move_wanted <- true;
+            home.running <- home.running + 1;
+            home)
+      in
       let t0 = clock.Obs.now () in
       Fun.protect
         ~finally:(fun () ->
+          with_qlock t (fun () -> home.running <- home.running - 1);
           Obs.observe t.exec_hist (clock.Obs.now () -. t0);
           Admission.release t.adm ~session_id:session.Session.session_id;
           Mutex.lock t.live_lock;
@@ -143,40 +200,63 @@ let unregister_live t fd =
   Hashtbl.remove t.live fd;
   Mutex.unlock t.live_lock
 
-let serve_connection t fd =
-  (match Unix.setsockopt fd Unix.TCP_NODELAY true with
-  | () -> ()
-  | exception Unix.Unix_error _ -> ());
-  register_live t fd;
-  Obs.inc t.connections_total;
-  let conn =
-    Gateway.connect t.gateway ~wrap:(wrap t)
-      ~max_frame_bytes:t.cfg.max_frame_bytes ()
+let new_slot wake =
+  { moved_in = Queue.create (); wake; load = 0; running = 0; ended = [] }
+
+(* Where a connection that overlapped on [home] should go, or [None] to
+   stay: an idle started domain first; else a new domain while fewer than
+   [max_domains] run; else a started domain whose load stays below
+   [home]'s after the move. Under [qlock]; a new slot is registered here
+   and its domain is spawned by the caller after the unlock. *)
+let pick_target t home =
+  let least =
+    List.fold_left
+      (fun best s ->
+        if s == home then best
+        else match best with Some b when b.load <= s.load -> best | _ -> Some s)
+      None t.slots
   in
-  let stop () = t.stopping in
-  (* the connection's one inbound buffer: every read lands here, and the
-     gateway copies what it needs out of it before the next read *)
-  let inbuf = Bytes.create 65536 in
+  match least with
+  | Some s when s.load = 0 -> Some (s, false)
+  | _ when List.length t.slots < t.max_domains ->
+      let s = new_slot (Condition.create ()) in
+      t.slots <- t.slots @ [ s ];
+      Some (s, true)
+  | Some s when s.load + 1 < home.load -> Some (s, false)
+  | _ -> None
+
+let close_link t link =
+  Gateway.disconnect link.conn;
+  unregister_live t link.fd;
+  with_qlock t (fun () -> link.place.home.load <- link.place.home.load - 1);
+  try Unix.close link.fd with Unix.Unix_error _ -> ()
+
+(* Serve [link] on the calling thread until it closes or moves; a moved
+   link belongs to its new domain's thread from the hand-over on. *)
+let rec serve_link t link =
+  let stop () = Atomic.get t.stopping in
   let rec pump () =
     (* between requests: a draining server stops reading and hangs up
        (every response already written), an idle read eventually times out *)
-    if t.draining || t.stopping then ()
+    if Atomic.get t.draining || Atomic.get t.stopping then `Closed
     else
       match
-        Frame_io.read_chunk ~stop fd inbuf ~timeout_s:t.cfg.read_timeout_s
+        Frame_io.read_chunk ~stop link.fd link.inbuf
+          ~timeout_s:t.cfg.read_timeout_s
       with
-      | Frame_io.Eof | Frame_io.Timed_out | Frame_io.Interrupted -> ()
-      | Frame_io.Data n -> (
+      | Frame_io.Eof | Frame_io.Timed_out | Frame_io.Interrupted -> `Closed
+      | Frame_io.Data n ->
           Obs.add t.bytes_read_total (float_of_int n);
+          let conn = link.conn in
           let before = Gateway.connection_protocol_errors conn in
-          let out = Gateway.feed conn inbuf 0 n in
+          let out = Gateway.feed conn link.inbuf 0 n in
           if Gateway.connection_protocol_errors conn > before then
             Obs.inc t.protocol_errors_total;
           let write_ok =
             out = ""
             ||
             match
-              Frame_io.write_all fd ~timeout_s:t.cfg.write_timeout_s out
+              Frame_io.write_all link.fd ~timeout_s:t.cfg.write_timeout_s out
             with
             | Frame_io.Written ->
                 Obs.add t.bytes_written_total
@@ -186,14 +266,116 @@ let serve_connection t fd =
                 Obs.inc t.write_failures_total;
                 false
           in
-          if write_ok && not (Gateway.connection_closed conn) then pump ())
+          if (not write_ok) || Gateway.connection_closed conn then `Closed
+          else if link.place.move_wanted && move t link then `Moved
+          else pump ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Gateway.disconnect conn;
-      unregister_live t fd;
-      (try Unix.close fd with Unix.Unix_error _ -> ()))
-    pump
+  match pump () with
+  | `Moved -> ()
+  | `Closed -> close_link t link
+  | exception e ->
+      close_link t link;
+      raise e
+
+(* Hand [link] to another domain, if one should take it. A domain that
+   cannot be started leaves the link where it was. *)
+and move t link =
+  let place = link.place in
+  let target =
+    with_qlock t (fun () ->
+        place.move_wanted <- false;
+        match pick_target t place.home with
+        | None -> None
+        | Some (slot, fresh) ->
+            let from = place.home in
+            from.load <- from.load - 1;
+            slot.load <- slot.load + 1;
+            place.home <- slot;
+            Queue.add link slot.moved_in;
+            Condition.signal slot.wake;
+            Some (from, slot, fresh))
+  in
+  match target with
+  | None -> false
+  | Some (_, _, false) ->
+      Obs.inc t.moves_total;
+      true
+  | Some (from, slot, true) -> (
+      match Domain.spawn (fun () -> domain_main t slot) with
+      | d ->
+          with_qlock t (fun () -> t.domains <- d :: t.domains);
+          Obs.inc t.moves_total;
+          true
+      | exception _ ->
+          with_qlock t (fun () ->
+              t.slots <- List.filter (fun s -> s != slot) t.slots;
+              from.load <- from.load + 1;
+              place.home <- from);
+          false)
+
+(* A non-main domain: one thread per connection handed to it. The
+   dispatcher joins each thread once it has returned, and on a hard stop
+   waits for the rest (their sockets are shut down) before returning. *)
+and domain_main t slot =
+  let serve link =
+    serve_guarded t link;
+    with_qlock t (fun () ->
+        slot.ended <- Thread.self () :: slot.ended;
+        Condition.signal slot.wake)
+  in
+  let rec go live =
+    let job, ended =
+      with_qlock t (fun () ->
+          while
+            Queue.is_empty slot.moved_in && slot.ended = [] && not (Atomic.get t.stopping)
+          do
+            Condition.wait slot.wake t.qlock
+          done;
+          let ended = slot.ended in
+          slot.ended <- [];
+          (Queue.take_opt slot.moved_in, ended))
+    in
+    List.iter Thread.join ended;
+    let live =
+      List.filter
+        (fun th -> not (List.exists (fun e -> Thread.id e = Thread.id th) ended))
+        live
+    in
+    match job with
+    | Some link -> go (Thread.create serve link :: live)
+    | None when ended <> [] && not (Atomic.get t.stopping) -> go live
+    | None -> List.iter Thread.join live
+  in
+  go []
+
+(* a serving thread must never die with the server running *)
+and serve_guarded t link =
+  try serve_link t link
+  with e ->
+    Printf.eprintf "hyperq-net worker: unexpected exception: %s\n%!"
+      (Printexc.to_string e)
+
+(* A freshly accepted connection starts on the main domain. *)
+let serve_connection t fd =
+  (match Unix.setsockopt fd Unix.TCP_NODELAY true with
+  | () -> ()
+  | exception Unix.Unix_error _ -> ());
+  register_live t fd;
+  Obs.inc t.connections_total;
+  let place = { home = t.main_slot; move_wanted = false } in
+  let conn =
+    match
+      Gateway.connect t.gateway ~wrap:(wrap t place)
+        ~max_frame_bytes:t.cfg.max_frame_bytes ()
+    with
+    | conn -> conn
+    | exception e ->
+        unregister_live t fd;
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        raise e
+  in
+  with_qlock t (fun () -> t.main_slot.load <- t.main_slot.load + 1);
+  serve_guarded t { fd; inbuf = Bytes.create 65536; conn; place }
 
 (* --- accept loop and worker pool ---------------------------------------- *)
 
@@ -215,7 +397,7 @@ let accept_loop t =
         let accepted =
           Mutex.lock t.qlock;
           let ok =
-            (not t.draining) && (not t.stopping)
+            (not (Atomic.get t.draining)) && not (Atomic.get t.stopping)
             && Queue.length t.queue < t.cfg.accept_queue
           in
           if ok then begin
@@ -234,32 +416,37 @@ let accept_loop t =
   in
   go ()
 
+(* A main-domain worker: serves connections handed back to the main domain
+   first, then freshly accepted ones. *)
 let worker_loop t =
   let rec go () =
     let job =
-      Mutex.lock t.qlock;
-      let rec take () =
-        if t.stopping || (t.draining && Queue.is_empty t.queue) then None
-        else
-          match Queue.take_opt t.queue with
-          | Some fd -> Some fd
-          | None ->
-              Condition.wait t.qcond t.qlock;
-              take ()
-      in
-      let j = take () in
-      Mutex.unlock t.qlock;
-      j
+      with_qlock t (fun () ->
+          (* workers stay until the hard stop: a draining server may still
+             hand a connection back, and one handed back is taken even on
+             the hard stop, so that its thread closes it *)
+          let rec take () =
+            match Queue.take_opt t.main_slot.moved_in with
+            | Some link -> Some (`Link link)
+            | None when Atomic.get t.stopping -> None
+            | None -> (
+                match Queue.take_opt t.queue with
+                | Some fd -> Some (`Fresh fd)
+                | None ->
+                    Condition.wait t.qcond t.qlock;
+                    take ())
+          in
+          take ())
     in
     match job with
-    | Some fd ->
-        (match serve_connection t fd with
-        | () -> ()
-        | exception e ->
-            (* a worker must never die with the pool running *)
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            Printf.eprintf "hyperq-net worker: unexpected exception: %s\n%!"
-              (Printexc.to_string e));
+    | Some (`Link link) ->
+        serve_guarded t link;
+        go ()
+    | Some (`Fresh fd) ->
+        (try serve_connection t fd
+         with e ->
+           Printf.eprintf "hyperq-net worker: unexpected exception: %s\n%!"
+             (Printexc.to_string e));
         go ()
     | None -> ()
   in
@@ -287,6 +474,8 @@ let start ?(config = default_config) gateway =
   in
   let obs = Pipeline.obs (Gateway.pipeline gateway) in
   let adm = Admission.create ~config:config.admission () in
+  let qcond = Condition.create () in
+  let main_slot = new_slot qcond in
   let t =
     {
       cfg = config;
@@ -296,9 +485,13 @@ let start ?(config = default_config) gateway =
       bound_port;
       queue = Queue.create ();
       qlock = Mutex.create ();
-      qcond = Condition.create ();
-      draining = false;
-      stopping = false;
+      qcond;
+      main_slot;
+      slots = [ main_slot ];
+      domains = [];
+      max_domains = Domain.recommended_domain_count ();
+      draining = Atomic.make false;
+      stopping = Atomic.make false;
       accept_thread = None;
       worker_threads = [];
       live = Hashtbl.create 64;
@@ -333,9 +526,19 @@ let start ?(config = default_config) gateway =
             "Service time of admitted statements, queue wait excluded \
              (seconds)"
           "hyperq_net_exec_seconds";
+      moves_total =
+        Obs.counter obs
+          ~help:
+            "Connections handed to another domain after their statements \
+             overlapped on one"
+          "hyperq_net_connection_moves_total";
       statements_done = 0;
     }
   in
+  Obs.register_collector obs ~kind:`Gauge
+    ~help:"Domains serving connections, the main one included"
+    "hyperq_net_domains" (fun () ->
+      [ ([], float_of_int (with_qlock t (fun () -> List.length t.slots))) ]);
   Obs.register_collector obs ~kind:`Gauge
     ~help:"Statements currently executing behind the front door"
     "hyperq_net_inflight" (fun () ->
@@ -384,7 +587,7 @@ let shutdown ?(drain = true) ?(timeout_s = 30.) t =
      wake a thread blocked in accept(2) on Linux, but shutting the listening
      socket down makes that accept return EINVAL immediately. The fd itself
      is closed after the accept thread is joined. *)
-  t.draining <- true;
+  Atomic.set t.draining true;
   (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
    with Unix.Unix_error _ -> ());
   Admission.begin_drain t.adm;
@@ -409,10 +612,9 @@ let shutdown ?(drain = true) ?(timeout_s = 30.) t =
     end
   in
   grace ();
-  t.stopping <- true;
-  Mutex.lock t.qlock;
-  Condition.broadcast t.qcond;
-  Mutex.unlock t.qlock;
+  Atomic.set t.stopping true;
+  with_qlock t (fun () ->
+      List.iter (fun s -> Condition.broadcast s.wake) t.slots);
   Mutex.lock t.live_lock;
   let stragglers = Hashtbl.fold (fun fd () acc -> fd :: acc) t.live [] in
   Mutex.unlock t.live_lock;
@@ -427,6 +629,21 @@ let shutdown ?(drain = true) ?(timeout_s = 30.) t =
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   List.iter Thread.join t.worker_threads;
   t.worker_threads <- [];
+  (* a domain may start another while it winds down: join until none is
+     left *)
+  let rec join_domains () =
+    match
+      with_qlock t (fun () ->
+          let ds = t.domains in
+          t.domains <- [];
+          ds)
+    with
+    | [] -> ()
+    | ds ->
+        List.iter Domain.join ds;
+        join_domains ()
+  in
+  join_domains ();
   Admission.close t.adm;
   Mutex.lock t.live_lock;
   let completed = t.statements_done in

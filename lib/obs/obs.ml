@@ -277,18 +277,18 @@ let default_latency_buckets =
     5e-3; 1e-2; 2.5e-2; 5e-2; 0.1; 0.25; 0.5; 1.; 2.5; 5.;
   |]
 
+(* eager, not [lazy]: forcing one lazy from two domains at once raises
+   [CamlinternalLazy.Undefined] *)
 let dead_hist =
-  lazy
-    {
-      h_on = false;
-      h_lock = Mutex.create ();
-      h_cell =
-        { bounds = [||]; counts = [| 0 |]; h_sum = 0.; h_total = 0 };
-    }
+  {
+    h_on = false;
+    h_lock = Mutex.create ();
+    h_cell = { bounds = [||]; counts = [| 0 |]; h_sum = 0.; h_total = 0 };
+  }
 
 let histogram t ?(help = "") ?(buckets = default_latency_buckets) ?(labels = [])
     name =
-  if not t.on then Lazy.force dead_hist
+  if not t.on then dead_hist
   else begin
     Array.iteri
       (fun i b ->

@@ -36,13 +36,14 @@ let create ?(memory_budget = default_budget) ?(spill_dir = Filename.get_temp_dir
     spill_dir;
   }
 
-let spill_counter = ref 0
+(* atomic: two domains spilling at once must never build the same path *)
+let spill_counter = Atomic.make 0
 
 let spill store encoded =
-  incr spill_counter;
+  let n = 1 + Atomic.fetch_and_add spill_counter 1 in
   let path =
     Filename.concat store.spill_dir
-      (Printf.sprintf "hyperq_spill_%d_%d.tdf" (Unix.getpid ()) !spill_counter)
+      (Printf.sprintf "hyperq_spill_%d_%d.tdf" (Unix.getpid ()) n)
   in
   let oc = open_out_bin path in
   (try output_string oc encoded

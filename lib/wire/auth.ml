@@ -9,11 +9,11 @@
 type credentials = { username : string; password : string }
 
 (* a deterministic PRNG keeps handshakes reproducible in tests *)
-let salt_counter = ref 0
+let salt_counter = Atomic.make 0
 
 let fresh_salt () =
-  incr salt_counter;
-  Digest.to_hex (Digest.string (Printf.sprintf "hyperq-salt-%d" !salt_counter))
+  let n = 1 + Atomic.fetch_and_add salt_counter 1 in
+  Digest.to_hex (Digest.string (Printf.sprintf "hyperq-salt-%d" n))
 
 let proof ~salt ~password = Digest.to_hex (Digest.string (salt ^ ":" ^ password))
 

@@ -39,7 +39,7 @@ type t = {
   mutable protocol_errors : int;
 }
 
-let session_counter = ref 0
+let session_counter = Atomic.make 0
 let default_max_frame_bytes = 4 * 1024 * 1024
 
 let create ?(records_per_parcel = 128)
@@ -82,8 +82,7 @@ let handle_message t (m : Message.t) : Message.t list =
         [ Message.Logon_response { success = false; session_id = 0; message = "user mismatch" } ]
       end
       else if Auth.check t.users ~username ~salt ~given:proof then begin
-        incr session_counter;
-        let session_id = !session_counter in
+        let session_id = 1 + Atomic.fetch_and_add session_counter 1 in
         t.phase <- Authenticated { username; session_id };
         [
           Message.Logon_response

@@ -498,6 +498,31 @@ let prop_limit_is_prefix =
           && List.for_all2 ( = ) limited
                (List.filteri (fun i _ -> i < List.length limited) all)))
 
+(* A SET-table INSERT ... SELECT deduplicates through one hash set per
+   statement (it used to scan the whole table for every inserted row):
+   20,000 rows, half of them duplicates, leave the row executor's rows. *)
+let test_set_table_insert_select () =
+  let module Pipeline = Hyperq_core.Pipeline in
+  let load mode =
+    let p = Pipeline.create () in
+    p.Pipeline.backend.Backend.exec_mode <- mode;
+    ignore (Pipeline.run_sql p "CREATE MULTISET TABLE SRC (K INTEGER, V VARCHAR(8))");
+    ignore (Pipeline.run_sql p "CREATE SET TABLE DST (K INTEGER, V VARCHAR(8))");
+    ignore
+      (Storage.insert p.Pipeline.backend.Backend.storage "SRC"
+         (List.init 20_000 (fun i ->
+              let k = i mod 10_000 in
+              [| Value.Int (Int64.of_int k); Value.Varchar (Printf.sprintf "v%d" k) |])));
+    let inserted = (Pipeline.run_sql p "INSERT INTO DST SELECT K, V FROM SRC").Pipeline.out_count in
+    (inserted, (Pipeline.run_sql p "SEL K, V FROM DST ORDER BY K").Pipeline.out_rows)
+  in
+  let batch_n, batch_rows = load Backend.Batch in
+  let row_n, row_rows = load Backend.Row in
+  check ib "duplicates rejected" 10_000 batch_n;
+  check ib "row executor inserts as many" row_n batch_n;
+  check ib "rows stored" 10_000 (List.length batch_rows);
+  check bb "same rows as the row executor" true (batch_rows = row_rows)
+
 let suite =
   [
     ("scan / filter / project", `Quick, test_scan_filter_project);
@@ -528,3 +553,4 @@ let suite =
         prop_group_sums_partition_total;
         prop_limit_is_prefix;
       ]
+  @ [ ("SET-table INSERT ... SELECT of 20,000 rows", `Quick, test_set_table_insert_select) ]

@@ -329,10 +329,12 @@ let test_admission_caps_and_sheds () =
 (* Server end-to-end                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let boot ?(latency_s = 0.) ?(admission = Admission.default_config) () =
-  let pipeline = Pipeline.create ~request_latency_s:latency_s () in
+let boot ?(latency_s = 0.) ?(admission = Admission.default_config) ?fault
+    ?(setup = ignore) () =
+  let pipeline = Pipeline.create ~request_latency_s:latency_s ?fault () in
   ignore (Pipeline.run_sql pipeline "CREATE TABLE NT (ID INTEGER, V VARCHAR(10))");
   ignore (Pipeline.run_sql pipeline "INS NT (1, 'one')");
+  setup pipeline;
   let server =
     Server.start
       ~config:
@@ -734,6 +736,173 @@ let test_server_concurrent_overload_and_drain () =
     (Admission.shed_total st.Server.sv_admission >= shed_2631 + 1);
   check ib "no protocol errors" 0 st.Server.sv_protocol_errors
 
+(* ------------------------------------------------------------------ *)
+(* Overlapping sessions on their own domains, snapshot reads            *)
+(* ------------------------------------------------------------------ *)
+
+module Obs = Hyperq_obs.Obs
+module Backend = Hyperq_engine.Backend
+module Storage = Hyperq_engine.Storage
+
+(* an unlabelled sample of the server's Prometheus exposition *)
+let metric server name =
+  let text =
+    Obs.render_prometheus (Pipeline.obs (Gateway.pipeline (Server.gateway server)))
+  in
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> float_of_string_opt v
+      | _ -> None)
+    (String.split_on_char '\n' text)
+  |> Option.value ~default:nan
+
+(* what two overlapping sessions should produce: one move onto a second
+   domain, where the host has one to give *)
+let expected_domains () = min 2 (Domain.recommended_domain_count ())
+
+(* [metric] once it reads [want], or its last reading after 2 s: a
+   connection moves just after its response is written, so the client can
+   read the answer before the server has recorded the move *)
+let settled server name want =
+  let deadline = Unix.gettimeofday () +. 2. in
+  let rec go () =
+    let v = int_of_float (metric server name) in
+    if v = want || Unix.gettimeofday () > deadline then v
+    else begin
+      Thread.delay 0.005;
+      go ()
+    end
+  in
+  go ()
+
+let run_ok c sql =
+  match Wire_client.run c sql with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "%s failed: %s" sql (Wire_client.failure_to_string e)
+
+let cells (r : Wire_client.reply) =
+  List.map (fun row -> Array.to_list (Array.map Value.to_string row)) r.Wire_client.rp_rows
+
+(* A reader loops over COUNT/SUM of T while a writer repeats a 5,000-row
+   INSERT ... SELECT, an UPDATE of every row and a DELETE of about half of
+   them. A 50 ms stall on the first backend request of the two sessions
+   lets the other session's statement in beside it, so they overlap and
+   one moves to a domain of its own. Reads take no lock, so every
+   observation must be a state between two writer statements: a table
+   version is published whole. *)
+let test_reader_sees_whole_statements () =
+  let fault = Hyperq_engine.Fault.create () in
+  let server =
+    boot ~fault
+      ~setup:(fun p ->
+        ignore (Pipeline.run_sql p "CREATE MULTISET TABLE SRC (K INTEGER)");
+        ignore (Pipeline.run_sql p "CREATE MULTISET TABLE T (K INTEGER)");
+        let rows = List.init 5000 (fun i -> [| Value.Int (Int64.of_int (i + 1)) |]) in
+        let storage = p.Pipeline.backend.Backend.storage in
+        ignore (Storage.insert storage "SRC" rows);
+        ignore (Storage.insert storage "T" rows);
+        Hyperq_engine.Fault.schedule fault
+          ~at:(Hyperq_engine.Fault.requests_seen fault)
+          (Hyperq_engine.Fault.Latency 0.05))
+      ()
+  in
+  let writer = connect server and reader = connect server in
+  (* the writer's model of T, and every state T passes through *)
+  let model = ref (List.init 5000 (fun i -> i + 1)) in
+  let state () = (List.length !model, List.fold_left ( + ) 0 !model) in
+  let states = Hashtbl.create 64 in
+  Hashtbl.replace states (state ()) ();
+  let apply sql f =
+    ignore (run_ok writer sql);
+    model := f !model;
+    Hashtbl.replace states (state ()) ()
+  in
+  (* the reader's client runs on a domain of its own, so that it never
+     waits for the runtime lock of the domain the writer may be served on *)
+  let writing = Atomic.make true in
+  let reader_domain =
+    Domain.spawn (fun () ->
+        let rec loop seen =
+          if not (Atomic.get writing) then seen
+          else
+            match cells (run_ok reader "SEL COUNT(*), SUM(K) FROM T") with
+            | [ [ n; sum ] ] ->
+                loop ((int_of_float (float_of_string n), int_of_float (float_of_string sum)) :: seen)
+            | _ -> Alcotest.fail "COUNT/SUM answered an unexpected shape"
+        in
+        loop [])
+  in
+  let seen =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set writing false)
+      (fun () ->
+        for _ = 1 to 30 do
+          apply "INSERT INTO T SELECT K FROM SRC" (fun m -> List.init 5000 (fun i -> i + 1) @ m);
+          apply "UPDATE T SET K = K + 1" (List.map (fun k -> k + 1));
+          apply "DELETE FROM T WHERE K MOD 2 = 0" (List.filter (fun k -> k mod 2 <> 0))
+        done);
+    Domain.join reader_domain
+  in
+  let torn = List.filter (fun s -> not (Hashtbl.mem states s)) seen in
+  check bb "reads observed" true (List.length seen > 0);
+  (match torn with
+  | [] -> ()
+  | (n, sum) :: _ ->
+      Alcotest.failf "%d of %d reads saw a half-applied statement, e.g. COUNT %d SUM %d"
+        (List.length torn) (List.length seen) n sum);
+  check ib "the sessions run on domains of their own" (expected_domains ())
+    (settled server "hyperq_net_domains" (expected_domains ()));
+  Wire_client.close writer;
+  Wire_client.close reader;
+  ignore (Server.shutdown ~timeout_s:5. server)
+
+(* one session never overlaps itself: it starts no domain and never moves *)
+let test_one_session_starts_no_domain () =
+  let server = boot () in
+  let c = connect server in
+  for i = 1 to 1000 do
+    ignore (run_ok c (if i mod 2 = 0 then "SEL ID, V FROM NT WHERE ID = 1" else "SEL COUNT(*) FROM NT"))
+  done;
+  Wire_client.close c;
+  check ib "one domain" 1 (int_of_float (metric server "hyperq_net_domains"));
+  check ib "no moves" 0 (int_of_float (metric server "hyperq_net_connection_moves_total"));
+  ignore (Server.shutdown ~timeout_s:5. server)
+
+(* two sessions whose statements overlap on a slow backend: the first
+   overlap moves one of them to a second domain, after which they never
+   share one again; every answer is the serial answer *)
+let test_overlapping_sessions_move_once () =
+  let server = boot ~latency_s:0.01 () in
+  let queries =
+    [| "SEL ID, V FROM NT WHERE ID = 1"; "SEL COUNT(*) FROM NT"; "SEL V FROM NT" |]
+  in
+  let serial =
+    let c = connect server in
+    let answers = Array.map (fun q -> cells (run_ok c q)) queries in
+    Wire_client.close c;
+    answers
+  in
+  let clients = Array.init 2 (fun _ -> connect server) in
+  let wrong = Atomic.make 0 in
+  List.iter Thread.join
+    (List.init 2 (fun w ->
+         Thread.create
+           (fun () ->
+             for i = 0 to 29 do
+               let q = (i + w) mod Array.length queries in
+               if cells (run_ok clients.(w) queries.(q)) <> serial.(q) then
+                 Atomic.incr wrong
+             done)
+           ()));
+  Array.iter Wire_client.close clients;
+  check ib "every answer equals the serial answer" 0 (Atomic.get wrong);
+  let domains = expected_domains () in
+  check ib "domains" domains (settled server "hyperq_net_domains" domains);
+  check ib "exactly one move" (domains - 1)
+    (settled server "hyperq_net_connection_moves_total" (domains - 1));
+  ignore (Server.shutdown ~timeout_s:5. server)
+
 let suite =
   [
     ("frame_io reassembles dribbled frames", `Quick, test_frame_io_short_reads);
@@ -754,4 +923,9 @@ let suite =
     ("frame split at every byte boundary", `Quick, test_protocol_split_every_boundary);
     ("gateway sends converter records as they are", `Quick, test_gateway_one_encoding_per_row);
     ("server 5,000-row answer over TCP", `Quick, test_server_large_answer);
+    ("reader never sees a half-applied DML statement", `Quick,
+      test_reader_sees_whole_statements);
+    ("one session starts no domain", `Quick, test_one_session_starts_no_domain);
+    ("overlapping sessions move once and stay correct", `Quick,
+      test_overlapping_sessions_move_once);
   ]

@@ -510,6 +510,37 @@ let test_explain_matches_run_with_packs () =
   check_layer "gateway default" ~activate:true ~session_packs:false;
   check_layer "session layer" ~activate:false ~session_packs:true
 
+(* Two domains compile statements at once (plan cache off, so every run
+   binds). The binder used to pass a block's TOP and ORDER BY context to
+   its enclosing query through process-wide refs, so one statement could
+   take the other's TOP 5: a point read answered 9 rows and an extract 5. *)
+let test_concurrent_binding_keeps_top () =
+  let p = Pipeline.create ~plan_cache_capacity:0 () in
+  ignore (Pipeline.run_sql p "CREATE MULTISET TABLE O (K INTEGER, C INTEGER, V INTEGER)");
+  ignore
+    (Pipeline.run_sql p
+       ("INSERT INTO O VALUES "
+       ^ String.concat ", "
+           (List.init 40 (fun i -> Printf.sprintf "(%d, %d, %d)" i (i mod 4) (i * 7 mod 13)))));
+  let top = "SEL TOP 5 K, V FROM O WHERE C = 1 ORDER BY V DESC, K" in
+  let all = "SEL K, C, V FROM O WHERE K < 30" in
+  let count sql = (Pipeline.run_sql p sql).Pipeline.out_count in
+  let want_top = count top and want_all = count all in
+  check ib "TOP 5 of 10 matching rows" 5 want_top;
+  let loop sql want () =
+    let session = Session.create () in
+    let wrong = ref 0 in
+    for _ = 1 to 3000 do
+      if (Pipeline.run_sql p ~session sql).Pipeline.out_count <> want then incr wrong
+    done;
+    !wrong
+  in
+  let d = Domain.spawn (loop all want_all) in
+  let wrong_top = loop top want_top () in
+  let wrong_all = Domain.join d in
+  check ib "TOP statements answered with another statement's row count" 0 wrong_top;
+  check ib "plain statements answered with another statement's TOP" 0 wrong_all
+
 let suite =
   [
     ("end-to-end select", `Quick, test_end_to_end_select);
@@ -536,4 +567,6 @@ let suite =
     ("translate: top-level recursion raises", `Quick, test_translate_recursive_raises);
     ("EXPLAIN target SQL = run SQL under rule packs", `Quick,
       test_explain_matches_run_with_packs);
+    ("concurrent binding keeps TOP with its statement", `Quick,
+      test_concurrent_binding_keeps_top);
   ]

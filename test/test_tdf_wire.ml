@@ -371,6 +371,30 @@ let prop_frame_roundtrip_run_request =
       | Some (m', _) -> m = m'
       | None -> false)
 
+(* Two domains spill 200 result stores each at the same time with a
+   1-byte memory budget: every store reads back exactly its own rows (two
+   spills must never build the same file path). *)
+let test_concurrent_spill () =
+  let cols = [ { Tdf.cd_name = "I"; cd_type = Dtype.Int } ] in
+  let rows d i = List.init 3 (fun j -> [| Value.Int (Int64.of_int ((d * 1_000_000) + (i * 10) + j)) |]) in
+  let spill_all d =
+    List.init 200 (fun i ->
+        let store = Result_store.create ~memory_budget:1 cols in
+        Result_store.add_rows store (rows d i);
+        Result_store.add_rows store (rows d (i + 100_000));
+        store)
+  in
+  let stores = List.map Domain.join (List.init 2 (fun d -> Domain.spawn (fun () -> spill_all d))) in
+  List.iteri
+    (fun d per_domain ->
+      List.iteri
+        (fun i store ->
+          check bb "spilled" true (Result_store.spilled store);
+          if Result_store.all_rows store <> rows d i @ rows d (i + 100_000) then
+            Alcotest.failf "store %d of domain %d read back rows that are not its own" i d)
+        per_domain)
+    stores
+
 let suite =
   [
     ("TDF round-trip", `Quick, test_tdf_roundtrip);
@@ -389,3 +413,4 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_tdf_int_rows_roundtrip; prop_frame_roundtrip_run_request ]
+  @ [ ("two domains spill at once", `Quick, test_concurrent_spill) ]
