@@ -1,14 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 7) plus the Figure 2 feature chart and the Table 2
-   implementation matrix, and adds bechamel micro-benchmarks of the
-   translation stages.
+   implementation matrix, and adds executor, DML, parallel-scaling, rule
+   and analyzer experiments.
 
    Run everything:      dune exec bench/main.exe
    Run one experiment:  dune exec bench/main.exe -- fig9a
    Scale factor:        HYPERQ_SF=0.02 dune exec bench/main.exe -- fig9a
 
    Experiment ids: table1 fig2 fig8a fig8b baseline table2 fig9a fig9b
-   targets ablation cache telemetry analyze exec dml parallel rules micro *)
+   targets ablation analyze exec dml parallel rules *)
 
 open Hyperq_sqlvalue
 module Pipeline = Hyperq_core.Pipeline
@@ -427,160 +427,6 @@ let ablation () =
   Printf.printf "  row counts agree: %s = %s\n" (count p1) (count p2)
 
 (* ------------------------------------------------------------------ *)
-(* Plan cache: repeated TPC-H replay, cache on vs off                   *)
-(* ------------------------------------------------------------------ *)
-
-let cache () =
-  hr "Plan cache: repeated TPC-H mix, translation cache on vs off";
-  let iters =
-    match Sys.getenv_opt "HYPERQ_CACHE_ITERS" with
-    | Some s -> int_of_string s
-    | None -> 50
-  in
-  let replay p =
-    let session = Session.create () in
-    let tr = ref 0. in
-    for _ = 1 to iters do
-      List.iter
-        (fun (_, sql) ->
-          let o = Pipeline.run_sql p ~session sql in
-          tr := !tr +. o.Pipeline.out_timings.Pipeline.translate_s)
-        Tpch_queries.all
-    done;
-    !tr
-  in
-  let cold_p = Pipeline.create ~plan_cache_capacity:0 () in
-  let _ = Tpch.setup ~sf:(sf ()) cold_p in
-  let warm_p = Pipeline.create () in
-  let _ = Tpch.setup ~sf:(sf ()) warm_p in
-  let cold = replay cold_p in
-  let warm = replay warm_p in
-  let s = Pipeline.cache_stats warm_p in
-  let module PC = Hyperq_core.Plan_cache in
-  Printf.printf
-    "{\"experiment\": \"cache\", \"iterations\": %d, \"queries\": %d, \
-     \"cold_translate_s\": %.6f, \"warm_translate_s\": %.6f, \"speedup\": \
-     %.2f, \"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f, \
-     \"invalidations\": %d, \"saved_translate_s\": %.6f}\n"
-    iters
-    (List.length Tpch_queries.all)
-    cold warm
-    (cold /. warm)
-    s.PC.hits s.PC.misses (PC.hit_rate s) s.PC.invalidations
-    s.PC.saved_translate_s;
-  Printf.printf "cache stats: %s\n" (PC.stats_to_string s)
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry: observability overhead, noop sink vs enabled registry     *)
-(* ------------------------------------------------------------------ *)
-
-let telemetry () =
-  hr "Telemetry: observability overhead on a sequential TPC-H run";
-  let rounds =
-    match Sys.getenv_opt "HYPERQ_TELEM_ROUNDS" with
-    | Some s -> int_of_string s
-    | None -> 4
-  in
-  let make obs =
-    let p = Pipeline.create ~obs () in
-    let _ = Tpch.setup ~sf:(sf ()) p in
-    p
-  in
-  let p_noop = make Obs.noop in
-  let p_on = make (Obs.create ()) in
-  let queries = List.length Tpch_queries.all in
-  let session_noop = Session.create () and session_on = Session.create () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let run p session =
-    List.iter
-      (fun (_, sql) -> ignore (Pipeline.run_sql p ~session sql))
-      Tpch_queries.all
-  in
-  (* one untimed warm-up pass each; then keep, per query, the best time each
-     configuration achieved across the rounds — pairing at query granularity
-     cancels the backend's scan-time variance, which otherwise swamps the
-     microsecond-scale telemetry cost. The order alternates per round:
-     whichever configuration runs a query second inherits hot CPU caches
-     from the first, so a fixed order would bias the comparison. *)
-  run p_noop session_noop;
-  run p_on session_on;
-  let best_noop = Array.make queries infinity in
-  let best_on = Array.make queries infinity in
-  let time_noop i sql =
-    best_noop.(i) <-
-      min best_noop.(i)
-        (time (fun () ->
-             ignore (Pipeline.run_sql p_noop ~session:session_noop sql)))
-  in
-  let time_on i sql =
-    best_on.(i) <-
-      min best_on.(i)
-        (time (fun () ->
-             ignore (Pipeline.run_sql p_on ~session:session_on sql)))
-  in
-  for round = 1 to rounds do
-    List.iteri
-      (fun i (_, sql) ->
-        if round land 1 = 1 then (time_noop i sql; time_on i sql)
-        else (time_on i sql; time_noop i sql))
-      Tpch_queries.all
-  done;
-  let t_noop = ref (Array.fold_left ( +. ) 0. best_noop) in
-  let t_on = ref (Array.fold_left ( +. ) 0. best_on) in
-  let enabled_overhead_pct = 100. *. (!t_on -. !t_noop) /. !t_noop in
-  (* the per-call price of leaving telemetry compiled in: a record op on a
-     disabled registry is one flag check *)
-  let c = Obs.counter Obs.noop "bench_noop_probe" in
-  let n = 10_000_000 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to n do
-    Obs.inc c
-  done;
-  let noop_ns = (Unix.gettimeofday () -. t0) /. float_of_int n *. 1e9 in
-  (* record ops per query, counted from the enabled registry *)
-  let tel = p_on.Pipeline.tel in
-  let stage_ops =
-    List.fold_left
-      (fun acc st ->
-        acc
-        + (Obs.histogram_snapshot
-             tel.Pipeline.stage_hists.(Pipeline.stage_index st))
-            .Obs.hs_count)
-      0 Pipeline.all_stages
-  in
-  let query_ops = (Obs.histogram_snapshot tel.Pipeline.query_hist).Obs.hs_count in
-  (* each histogram observe pairs with a span open/close, plus the trace and
-     counter bumps; 2x is a conservative multiplier *)
-  let ops_per_query =
-    2. *. float_of_int (stage_ops + query_ops)
-    /. float_of_int (max 1 query_ops)
-  in
-  let per_query_s = !t_noop /. float_of_int queries in
-  let noop_overhead_pct =
-    100. *. (ops_per_query *. noop_ns /. 1e9) /. per_query_s
-  in
-  Printf.printf
-    "best of %d rounds x %d queries: noop %.3f s, enabled %.3f s -> %.2f%% \
-     overhead\n"
-    rounds queries !t_noop !t_on enabled_overhead_pct;
-  Printf.printf
-    "noop record op: %.1f ns; ~%.0f ops/query -> %.4f%% of query time\n"
-    noop_ns ops_per_query noop_overhead_pct;
-  write_json "BENCH_telemetry.json"
-    (Printf.sprintf
-       "{\"experiment\": \"telemetry\", \"rounds\": %d, \"queries\": %d, \
-        \"noop_s\": %.6f, \"enabled_s\": %.6f, \"enabled_overhead_pct\": \
-        %.3f, \"noop_record_ns\": %.2f, \"record_ops_per_query\": %.1f, \
-        \"noop_overhead_pct\": %.4f}"
-       rounds queries !t_noop !t_on enabled_overhead_pct noop_ns ops_per_query
-       noop_overhead_pct);
-  Printf.printf "(targets: <1%% disabled, <3%% enabled)\n"
-
-(* ------------------------------------------------------------------ *)
 (* Offline workload compatibility analysis (lib/analyze)                *)
 (* ------------------------------------------------------------------ *)
 
@@ -741,80 +587,6 @@ let analyze () =
   end;
   if errors > 0 then Printf.printf "!! %d error diagnostic(s)\n" errors
   else Printf.printf "(all statements parse, bind, and validate clean)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the translation stages                  *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  hr "Micro: per-stage translation latency (bechamel)";
-  let open Bechamel in
-  let pipeline = Pipeline.create () in
-  List.iter
-    (fun sql -> ignore (Pipeline.run_sql pipeline sql))
-    [
-      "CREATE TABLE SALES (AMOUNT DECIMAL(12,2), SALES_DATE DATE, STORE INTEGER)";
-      "CREATE TABLE SALES_HISTORY (GROSS DECIMAL(12,2), NET DECIMAL(12,2))";
-    ];
-  let example2 =
-    "SEL * FROM SALES WHERE SALES_DATE > 1140101 AND (AMOUNT, AMOUNT * 0.85) > \
-     ANY (SEL GROSS, NET FROM SALES_HISTORY) QUALIFY RANK(AMOUNT DESC) <= 10"
-  in
-  let dialect = Hyperq_sqlparser.Dialect.Teradata in
-  let parse () = Hyperq_sqlparser.Parser.parse_statement ~dialect example2 in
-  let ast = parse () in
-  let bind () =
-    let bctx = Hyperq_binder.Binder.create_ctx pipeline.Pipeline.vcatalog in
-    Hyperq_binder.Binder.bind_statement bctx ast
-  in
-  let bound = bind () in
-  let transform () =
-    let counter = ref 1_000_000 in
-    Hyperq_transform.Transformer.transform ~cap:Capability.ansi_engine ~counter
-      bound
-  in
-  let transformed, _ = transform () in
-  let serialize () =
-    Hyperq_serialize.Serializer.serialize ~cap:Capability.ansi_engine transformed
-  in
-  let translate () = Pipeline.translate pipeline example2 in
-  let tpch_pipeline = Pipeline.create () in
-  let _ = Tpch.setup ~sf:0.002 tpch_pipeline in
-  let q1 () = Pipeline.translate tpch_pipeline (List.assoc "Q1" Tpch_queries.all) in
-  let q6 () = Pipeline.run_sql tpch_pipeline (List.assoc "Q6" Tpch_queries.all) in
-  let tests =
-    [
-      Test.make ~name:"parse (Example 2)" (Staged.stage parse);
-      Test.make ~name:"bind (Example 2)" (Staged.stage bind);
-      Test.make ~name:"transform (Example 2)" (Staged.stage transform);
-      Test.make ~name:"serialize (Example 2)" (Staged.stage serialize);
-      Test.make ~name:"translate end-to-end (Example 2)" (Staged.stage translate);
-      Test.make ~name:"translate end-to-end (TPC-H Q1)" (Staged.stage q1);
-      Test.make ~name:"run end-to-end (TPC-H Q6, SF 0.002)" (Staged.stage q6);
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              let name =
-                match String.index_opt name '/' with
-                | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-                | None -> name
-              in
-              Printf.printf "%-42s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-42s (no estimate)\n" name)
-        results)
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* Executor: vectorized batch path vs row interpreter                   *)
@@ -1426,14 +1198,11 @@ let experiments =
     ("fig9b", fig9b);
     ("targets", targets);
     ("ablation", ablation);
-    ("cache", cache);
-    ("telemetry", telemetry);
     ("analyze", analyze);
     ("exec", exec_bench);
     ("dml", dml_bench);
     ("parallel", parallel_bench);
     ("rules", rules_bench);
-    ("micro", micro);
   ]
 
 let () =

@@ -32,20 +32,13 @@ type result = {
   res_message : string;
 }
 
-(* The vectorized executor is the default; [HYPERQ_EXEC_MODE=row] selects the
-   row interpreter (baseline for benchmarks and differential testing). *)
-let default_exec_mode () =
-  match Sys.getenv_opt "HYPERQ_EXEC_MODE" with
-  | Some "row" -> Row
-  | _ -> Batch
-
 let create () =
   {
     catalog = Catalog.create ();
     storage = Storage.create ();
     session_user = "HYPERQ";
     queries_executed = Atomic.make 0;
-    exec_mode = default_exec_mode ();
+    exec_mode = Batch;
     exec_domains = Morsel.configured_domains ();
   }
 

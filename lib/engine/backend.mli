@@ -15,8 +15,8 @@ type t = {
   queries_executed : int Atomic.t;
   mutable exec_mode : exec_mode;
       (** which executor runs queries, DML sources and UPDATE/DELETE
-          predicates; [Row] is the reference oracle. Defaults to [Batch]
-          unless [HYPERQ_EXEC_MODE=row] is set. *)
+          predicates; [Row] is the reference oracle. {!create} sets
+          [Batch]; tests and benches set [Row] to compare. *)
   mutable exec_domains : int;
       (** intra-statement parallelism budget for the vectorized executor
           (morsel-driven execution on OCaml domains). Defaults to

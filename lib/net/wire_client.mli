@@ -1,5 +1,6 @@
 (** Blocking TCP WP-A client: what a Teradata client library looks like to
-    the front door. Used by the wire benchmark and the tests.
+    the front door, used by the tests. A socket transport over the
+    {!Hyperq_wire.Client_protocol} conversation.
 
     Failure classification mirrors the client-side resilience contract:
     [Failure_code] is a structured protocol answer (2631 = transient, shed

@@ -541,6 +541,32 @@ let test_concurrent_binding_keeps_top () =
   check ib "TOP statements answered with another statement's row count" 0 wrong_top;
   check ib "plain statements answered with another statement's TOP" 0 wrong_all
 
+(* a 5,000-row answer (40 parcels) through the in-process client: every
+   row decoded, equal to what the pipeline returns *)
+let test_client_large_answer () =
+  let p = Pipeline.create () in
+  let run sql = ignore (Pipeline.run_sql p sql) in
+  run "CREATE TABLE D (N INTEGER)";
+  run ("INSERT INTO D VALUES " ^ String.concat ", " (List.init 100 (Printf.sprintf "(%d)")));
+  run "CREATE TABLE BIG (ID INTEGER, V VARCHAR(20), A DECIMAL(8,2), M INTEGER)";
+  run
+    "INSERT INTO BIG SELECT A.N * 100 + B.N, CAST(B.N AS VARCHAR(10)), A.N * 1.25, \
+     NULLIF(B.N, 7) FROM D A, D B WHERE A.N < 50";
+  let sql = "SEL ID, V, A, M FROM BIG ORDER BY ID" in
+  let gw = Gateway.create p in
+  match Client.logon gw ~username:"DBC" ~password:"DBC" with
+  | Error e -> Alcotest.fail e
+  | Ok client ->
+      (match Client.run client sql with
+      | Ok r ->
+          check ib "every row arrived" 5000 (List.length r.Client.rows);
+          check ib "activity count" 5000 r.Client.activity_count;
+          check
+            Alcotest.(list (array (testable Value.pp ( = ))))
+            "decoded rows = pipeline rows" (Pipeline.run_sql p sql).Pipeline.out_rows r.Client.rows
+      | Error e -> Alcotest.fail e);
+      Client.logoff client
+
 let suite =
   [
     ("end-to-end select", `Quick, test_end_to_end_select);
@@ -569,4 +595,5 @@ let suite =
       test_explain_matches_run_with_packs);
     ("concurrent binding keeps TOP with its statement", `Quick,
       test_concurrent_binding_keeps_top);
+    ("in-process client 5,000-row answer", `Quick, test_client_large_answer);
   ]

@@ -1,6 +1,7 @@
-(* TDF binary format, result-store spilling, WP-A wire codec and the
-   protocol handler state machine. Codec round-trips are the "bit-identical"
-   property the paper demands of protocol emulation (§4.1). *)
+(* TDF binary format, result-store spilling, WP-A wire codec, the
+   protocol handler state machine and the client conversation. Codec
+   round-trips are the "bit-identical" property the paper demands of
+   protocol emulation (§4.1). *)
 
 open Hyperq_sqlvalue
 module Tdf = Hyperq_tdf.Tdf
@@ -9,6 +10,7 @@ module Record = Hyperq_wire.Record
 module Message = Hyperq_wire.Message
 module Auth = Hyperq_wire.Auth
 module Protocol_handler = Hyperq_wire.Protocol_handler
+module Client_protocol = Hyperq_wire.Client_protocol
 
 let check = Alcotest.check
 let bb = Alcotest.bool
@@ -395,6 +397,175 @@ let test_concurrent_spill () =
         per_domain)
     stores
 
+(* --- client conversation ------------------------------------------------ *)
+
+let answer_columns =
+  [
+    { Message.col_name = "X"; col_type = Dtype.Int };
+    { Message.col_name = "S"; col_type = Dtype.varchar () };
+  ]
+
+let answer_row i =
+  [|
+    Value.Int (Int64.of_int i);
+    (if i mod 3 = 0 then Value.Null else Value.Varchar (Printf.sprintf "r%d" i));
+  |]
+
+let answer n =
+  Client_protocol.Answer
+    { columns = answer_columns; rows = List.init n answer_row; activity = "SELECT"; activity_count = n }
+
+(* the frames of one answer of [n] rows, [per_parcel] records a parcel *)
+let answer_frames ~per_parcel n =
+  let rcols =
+    List.map
+      (fun (c : Message.column) -> { Record.rc_name = c.col_name; rc_type = c.col_type })
+      answer_columns
+  in
+  let rec parcels i =
+    if i >= n then []
+    else
+      let k = min per_parcel (n - i) in
+      let payload = List.init k (fun j -> Record.encode_row rcols (answer_row (i + j))) in
+      Message.Records { payload } :: parcels (i + k)
+  in
+  (Message.Response_header { columns = answer_columns } :: parcels 0)
+  @ [ Message.Success { activity_count = n; activity = "SELECT" } ]
+
+let frames ms = String.concat "" (List.map Message.encode_frame ms)
+
+let logon_frames ~success =
+  [
+    Message.Logon_challenge { salt = "S1" };
+    Message.Logon_response
+      {
+        success;
+        session_id = (if success then 7 else 0);
+        message = (if success then "ok" else "authentication failed");
+      };
+  ]
+
+(* A transport's loop: feed each chunk, poll until no event is left and
+   drain what the conversation queued. A fresh conversation logs on and
+   submits [sql] once logged on; a logged-on one submits [sql] at once.
+   Returns the events and every byte the client wrote. *)
+let converse ?(sql = "SEL X, S FROM T") ?(conv = Client_protocol.create ()) chunks =
+  if Client_protocol.session_id conv = 0 then
+    Client_protocol.logon conv ~username:"DBC" ~password:"PW"
+  else Client_protocol.run conv sql;
+  let sent = Buffer.create 64 and events = ref [] in
+  Buffer.add_string sent (Client_protocol.drain conv);
+  List.iter
+    (fun chunk ->
+      Client_protocol.feed conv (Bytes.of_string chunk) 0 (String.length chunk);
+      let rec loop () =
+        match Client_protocol.poll conv with
+        | None -> ()
+        | Some e ->
+            (match e with Client_protocol.Logged_on _ -> Client_protocol.run conv sql | _ -> ());
+            events := e :: !events;
+            loop ()
+      in
+      loop ();
+      Buffer.add_string sent (Client_protocol.drain conv))
+    chunks;
+  (List.rev !events, Buffer.contents sent)
+
+let rec decode_all s pos =
+  match Message.decode_frame s pos with Some (m, next) -> m :: decode_all s next | None -> []
+
+let event_to_string = function
+  | Client_protocol.Logged_on id -> Printf.sprintf "logged on %d" id
+  | Client_protocol.Logon_rejected m -> "logon rejected: " ^ m
+  | Client_protocol.Answer r -> Printf.sprintf "answer of %d rows" (List.length r.Client_protocol.rows)
+  | Client_protocol.Failed { code; message } -> Printf.sprintf "failure %d: %s" code message
+  | Client_protocol.Malformed m -> "malformed: " ^ m
+
+let check_events name want got =
+  if got <> want then
+    Alcotest.failf "%s: got [%s], want [%s]" name
+      (String.concat "; " (List.map event_to_string got))
+      (String.concat "; " (List.map event_to_string want))
+
+(* A scripted server stream (challenge, logon response, header, 3 Records
+   parcels, Success) gives the same events and the same requests however
+   the transport splits it. *)
+let test_client_conversation_splits () =
+  let stream = frames (logon_frames ~success:true @ answer_frames ~per_parcel:2 6) in
+  let want_sent =
+    [
+      Message.Logon_request { username = "DBC" };
+      Message.Logon_auth { username = "DBC"; proof = Auth.proof ~salt:"S1" ~password:"PW" };
+      Message.Run_request { sql = "SEL X, S FROM T" };
+    ]
+  in
+  let n = String.length stream in
+  let check_split name chunks =
+    let events, sent = converse chunks in
+    check_events name [ Client_protocol.Logged_on 7; answer 6 ] events;
+    check bb (name ^ ": requests") true (decode_all sent 0 = want_sent)
+  in
+  for i = 0 to n do
+    check_split (Printf.sprintf "split at %d" i) [ String.sub stream 0 i; String.sub stream i (n - i) ]
+  done;
+  check_split "byte by byte" (List.init n (fun i -> String.make 1 stream.[i]))
+
+(* A rejected logon, a Failure after a header, a parcel out of turn, an
+   undecodable record and an undecodable frame each give one structured
+   event; none raises. *)
+let test_client_conversation_errors () =
+  let rejected, _ = converse [ frames (logon_frames ~success:false) ] in
+  check_events "rejected logon" [ Client_protocol.Logon_rejected "authentication failed" ] rejected;
+  let logged_on () =
+    let conv = Client_protocol.create () in
+    ignore (converse ~conv [ frames (logon_frames ~success:true) ]);
+    conv
+  in
+  let conv = logged_on () in
+  let header = Message.Response_header { columns = answer_columns } in
+  let failed, _ = converse ~conv [ frames [ header; Message.Failure { code = 2616; message = "boom" } ] ] in
+  check_events "failure after a header" [ Client_protocol.Failed { code = 2616; message = "boom" } ] failed;
+  let next, _ = converse ~conv [ frames (answer_frames ~per_parcel:2 3) ] in
+  check_events "the next answer starts afresh" [ answer 3 ] next;
+  let malformed name bytes =
+    match converse ~conv:(logged_on ()) [ bytes; frames (answer_frames ~per_parcel:2 3) ] with
+    | [ Client_protocol.Malformed _ ], _ -> ()
+    | events, _ ->
+        Alcotest.failf "%s: got [%s]" name (String.concat "; " (List.map event_to_string events))
+  in
+  malformed "parcel out of turn" (frames [ Message.Logon_challenge { salt = "S2" } ]);
+  malformed "undecodable record" (frames [ header; Message.Records { payload = [ "\000\001" ] } ]);
+  malformed "undecodable frame" "\255\000\000\000\000\001x"
+
+(* Answers are decoded in time linear in their rows: 10x the rows costs
+   about 10x the allocation. A conversation that appends each parcel to
+   the rows so far ([rows @ parcel]) allocates about 33x. *)
+let test_client_conversation_linear () =
+  let words n =
+    let stream = Bytes.of_string (frames (answer_frames ~per_parcel:128 n)) in
+    let conv = Client_protocol.create () in
+    Client_protocol.run conv "SEL X, S FROM T";
+    ignore (Client_protocol.drain conv);
+    let chunk = 65536 and event = ref None and off = ref 0 in
+    let before = Gc.minor_words () in
+    while !off < Bytes.length stream do
+      let len = min chunk (Bytes.length stream - !off) in
+      Client_protocol.feed conv stream !off len;
+      off := !off + len;
+      match Client_protocol.poll conv with Some e -> event := Some e | None -> ()
+    done;
+    let spent = Gc.minor_words () -. before in
+    (match !event with
+    | Some (Client_protocol.Answer r) ->
+        check ib (Printf.sprintf "%d rows decoded" n) n (List.length r.Client_protocol.rows)
+    | _ -> Alcotest.failf "%d rows: no answer" n);
+    spent
+  in
+  let small = words 1280 and large = words 12800 in
+  if large > 15. *. small then
+    Alcotest.failf "12,800 rows allocated %.0f words, %.1fx the %.0f of 1,280 rows (at most 15x)"
+      large (large /. small) small
+
 let suite =
   [
     ("TDF round-trip", `Quick, test_tdf_roundtrip);
@@ -413,4 +584,9 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_tdf_int_rows_roundtrip; prop_frame_roundtrip_run_request ]
-  @ [ ("two domains spill at once", `Quick, test_concurrent_spill) ]
+  @ [
+      ("two domains spill at once", `Quick, test_concurrent_spill);
+      ("client conversation: any byte split", `Quick, test_client_conversation_splits);
+      ("client conversation: structured errors", `Quick, test_client_conversation_errors);
+      ("client conversation: linear decoding", `Quick, test_client_conversation_linear);
+    ]
