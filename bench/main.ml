@@ -601,13 +601,18 @@ let exec_bench () =
     | Some s -> int_of_string s
     | None -> 3
   in
-  (* the hash-join / hash-aggregation heavy queries of the suite *)
+  (* the hash-join / hash-aggregation heavy queries of the suite, plus
+     every query whose join order the planner changes or whose
+     uncorrelated subqueries run on the batch path (Q2, Q8, Q9, Q20, Q21) *)
   let subset =
     match Sys.getenv_opt "HYPERQ_EXEC_QUERIES" with
     | Some s when String.contains s ';' -> String.split_on_char ';' s
     | Some s -> String.split_on_char ',' s
     | None ->
-        [ "Q1"; "Q3"; "Q5"; "Q6"; "Q10"; "Q12"; "Q13"; "Q14"; "Q18" ]
+        [
+          "Q1"; "Q2"; "Q3"; "Q5"; "Q6"; "Q8"; "Q9"; "Q10"; "Q12"; "Q13"; "Q14";
+          "Q18"; "Q20"; "Q21";
+        ]
   in
   let queries =
     List.filter_map

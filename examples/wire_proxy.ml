@@ -29,10 +29,17 @@ let () =
   | Error e -> Printf.printf "logon with bad password rejected: %s\n" e
   | Ok _ -> print_endline "UNEXPECTED: bad password accepted");
 
-  (* ten concurrent sessions, each issuing queries over the wire *)
+  (* ten concurrent sessions, each issuing queries over the wire; each
+     prints its line in one locked write so lines never interleave *)
+  let out = Mutex.create () in
+  let say fmt =
+    Printf.ksprintf
+      (fun line -> Mutex.protect out (fun () -> print_string line; flush stdout))
+      fmt
+  in
   let worker i =
     match Client.logon gateway ~username:"DBC" ~password:"DBC" with
-    | Error e -> Printf.printf "client %d: logon failed: %s\n" i e
+    | Error e -> say "client %d: logon failed: %s\n" i e
     | Ok client ->
         for k = 1 to 5 do
           let sql =
@@ -43,12 +50,12 @@ let () =
           match Client.run client sql with
           | Ok r ->
               if k = 1 then
-                Printf.printf "client %2d: %d row(s); top owner %s\n%!" i
+                say "client %2d: %d row(s); top owner %s\n" i
                   r.Client.activity_count
                   (match r.Client.rows with
                   | row :: _ -> Value.to_string row.(0)
                   | [] -> "-")
-          | Error e -> Printf.printf "client %2d: error %s\n%!" i e
+          | Error e -> say "client %2d: error %s\n" i e
         done;
         Client.logoff client
   in

@@ -84,9 +84,14 @@ let coerce_row table (cols : Catalog.column array)
     positions;
   out
 
+(* In [Batch] mode uncorrelated subqueries run on the batch executor too;
+   [Row] mode keeps every operator on the reference interpreter. *)
 let exec_ctx t =
+  let run_subquery =
+    match t.exec_mode with Batch -> Some Batch_exec.exec_rows | Row -> None
+  in
   Executor.create_ctx ~session_user:t.session_user ~domains:t.exec_domains
-    t.storage
+    ?run_subquery t.storage
 
 (* Rows of a DML source relation — INSERT ... SELECT, CREATE TABLE AS, the
    FROM of UPDATE/DELETE — on the configured executor. *)
@@ -510,7 +515,7 @@ let exec_delete_batch t ~target ~extra_from ~pred ~(schema : Xtra.schema) =
 
 let rec exec_statement t (st : Xtra.statement) : result =
   Atomic.incr t.queries_executed;
-  let st = Optimizer.optimize_statement st in
+  let st = Optimizer.optimize_statement ~storage:t.storage st in
   (if Sys.getenv_opt "HYPERQ_PLAN_DEBUG" <> None then
      match st with
      | Xtra.Query rel -> prerr_endline (Hyperq_xtra.Xtra_pp.rel_to_string rel)

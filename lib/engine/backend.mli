@@ -35,6 +35,11 @@ type result = {
 
 val create : unit -> t
 
+(** A fresh execution context on the backend's storage, session user and
+    parallelism budget. In [Batch] mode it runs uncorrelated subqueries on
+    {!Batch_exec}; in [Row] mode every operator stays on {!Executor}. *)
+val exec_ctx : t -> Executor.ctx
+
 (** Execute an already-bound XTRA statement (the engine applies its own
     optimizer pass first). *)
 val exec_statement : t -> Hyperq_xtra.Xtra.statement -> result

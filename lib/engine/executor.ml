@@ -55,6 +55,10 @@ type ctx = {
   domains : int;
       (** intra-statement parallelism budget for the vectorized executor
           (1 = sequential); the row interpreter ignores it *)
+  run_subquery : (ctx -> Xtra.rel -> row list) option;
+      (** executor for uncorrelated subqueries that reference no CTE;
+          [None] runs them on this interpreter ([Backend.exec_ctx] sets
+          the batch executor here in [Batch] mode) *)
 }
 
 (* Decorrelation support: a correlated subquery whose correlation enters
@@ -71,7 +75,7 @@ and hashed_subquery = {
   hs_inner_keys : Xtra.scalar list;  (** evaluated against input rows *)
 }
 
-let create_ctx ?(session_user = "HYPERQ") ?(current_date = Sql_date.make ~year:2018 ~month:6 ~day:10) ?(domains = 1) storage =
+let create_ctx ?(session_user = "HYPERQ") ?(current_date = Sql_date.make ~year:2018 ~month:6 ~day:10) ?(domains = 1) ?run_subquery storage =
   {
     storage;
     frames = [];
@@ -83,6 +87,7 @@ let create_ctx ?(session_user = "HYPERQ") ?(current_date = Sql_date.make ~year:2
     session_user;
     current_date;
     domains;
+    run_subquery;
   }
 
 (* A context for one worker domain of a parallel morsel region: same storage
@@ -345,8 +350,13 @@ and exec_subquery ctx rel =
       ->
         rows
     | _ ->
-        let rows = exec ctx rel in
         let refs_cte = references_cte rel in
+        (* CTE references resolve only in this interpreter's environment *)
+        let rows =
+          match ctx.run_subquery with
+          | Some run when not refs_cte -> run ctx rel
+          | _ -> exec ctx rel
+        in
         if Rel_tbl.length ctx.subquery_cache >= subquery_cache_cap then
           Rel_tbl.reset ctx.subquery_cache;
         Rel_tbl.replace ctx.subquery_cache rel (ctx.cte_version, refs_cte, rows);
@@ -784,12 +794,18 @@ and exec_window_rows ctx input_schema rows windows =
               let v = eval_row rows_arr.(j) value_expr in
               Array.iter (fun (_, i) -> out.(i).(wi) <- v) arr
           | Xtra.W_agg afunc ->
-              (* frame boundaries per row *)
-              let arg_of i =
-                match w.Xtra.wargs with
-                | [ e ] -> eval_row rows_arr.(i) e
-                | [] -> Value.Bool true (* COUNT star placeholder *)
-                | _ -> Sql_error.execution_error "window aggregate takes one argument"
+              (* each row's argument is evaluated once; consecutive rows
+                 with the same frame share one aggregate, so a frame over
+                 the whole partition is aggregated once per partition and a
+                 RANGE frame ending at CURRENT ROW once per peer group *)
+              let args =
+                Array.map
+                  (fun (_, i) ->
+                    match w.Xtra.wargs with
+                    | [ e ] -> eval_row rows_arr.(i) e
+                    | [] -> Value.Bool true (* COUNT star placeholder *)
+                    | _ -> Sql_error.execution_error "window aggregate takes one argument")
+                  arr
               in
               let default_frame =
                 if w.Xtra.worder = [] then
@@ -798,58 +814,70 @@ and exec_window_rows ctx input_schema rows windows =
                   { Xtra.frame_unit = `Range; frame_start = Xtra.Unbounded_preceding; frame_end = Xtra.Current_row }
               in
               let fr = Option.value w.Xtra.wframe ~default:default_frame in
-              for pos = 0 to m - 1 do
-                let lo, hi =
-                  match fr.Xtra.frame_unit with
-                  | `Rows ->
-                      let bound_pos = function
-                        | Xtra.Unbounded_preceding -> 0
-                        | Xtra.Preceding k -> max 0 (pos - k)
-                        | Xtra.Current_row -> pos
-                        | Xtra.Following k -> min (m - 1) (pos + k)
-                        | Xtra.Unbounded_following -> m - 1
-                      in
-                      (bound_pos fr.Xtra.frame_start, bound_pos fr.Xtra.frame_end)
-                  | `Range ->
-                      (* peers extension: only UNBOUNDED/CURRENT supported *)
-                      let lo =
-                        match fr.Xtra.frame_start with
-                        | Xtra.Unbounded_preceding -> 0
-                        | Xtra.Current_row ->
-                            let rec back p = if p > 0 && peer_equal p (p - 1) then back (p - 1) else p in
-                            back pos
-                        | _ ->
-                            Sql_error.execution_error
-                              "RANGE frames support only UNBOUNDED/CURRENT bounds"
-                      in
-                      let hi =
-                        match fr.Xtra.frame_end with
-                        | Xtra.Unbounded_following -> m - 1
-                        | Xtra.Current_row ->
-                            let rec fwd p = if p < m - 1 && peer_equal p (p + 1) then fwd (p + 1) else p in
-                            fwd pos
-                        | _ ->
-                            Sql_error.execution_error
-                              "RANGE frames support only UNBOUNDED/CURRENT bounds"
-                      in
-                      (lo, hi)
-                in
-                let values = ref [] in
-                for q = hi downto lo do
-                  let _, i = arr.(q) in
-                  values := arg_of i :: !values
-                done;
-                let values =
-                  if afunc = Xtra.Count_star then !values
-                  else List.filter (fun v -> not (Value.is_null v)) !values
-                  |> fun l -> if afunc = Xtra.Count_star then !values else l
-                in
-                let _, i = arr.(pos) in
-                out.(i).(wi) <-
-                  finalize_agg
-                    { Xtra.afunc; adistinct = false; aarg = None }
-                    values
-              done)
+              (* RANGE frames: first and last position of each row's peer
+                 group *)
+              let first, last =
+                if fr.Xtra.frame_unit = `Rows then ([||], [||])
+                else begin
+                  let first = Array.make m 0 and last = Array.make m (m - 1) in
+                  for p = 1 to m - 1 do
+                    first.(p) <- (if peer_equal p (p - 1) then first.(p - 1) else p)
+                  done;
+                  for p = m - 2 downto 0 do
+                    last.(p) <- (if peer_equal p (p + 1) then last.(p + 1) else p)
+                  done;
+                  (first, last)
+                end
+              in
+              let bounds pos =
+                match fr.Xtra.frame_unit with
+                | `Rows ->
+                    let bound_pos = function
+                      | Xtra.Unbounded_preceding -> 0
+                      | Xtra.Preceding k -> max 0 (pos - k)
+                      | Xtra.Current_row -> pos
+                      | Xtra.Following k -> min (m - 1) (pos + k)
+                      | Xtra.Unbounded_following -> m - 1
+                    in
+                    (bound_pos fr.Xtra.frame_start, bound_pos fr.Xtra.frame_end)
+                | `Range ->
+                    (* peers extension: only UNBOUNDED/CURRENT supported *)
+                    let unsupported () =
+                      Sql_error.execution_error
+                        "RANGE frames support only UNBOUNDED/CURRENT bounds"
+                    in
+                    let lo =
+                      match fr.Xtra.frame_start with
+                      | Xtra.Unbounded_preceding -> 0
+                      | Xtra.Current_row -> first.(pos)
+                      | _ -> unsupported ()
+                    in
+                    let hi =
+                      match fr.Xtra.frame_end with
+                      | Xtra.Unbounded_following -> m - 1
+                      | Xtra.Current_row -> last.(pos)
+                      | _ -> unsupported ()
+                    in
+                    (lo, hi)
+              in
+              let def = { Xtra.afunc; adistinct = false; aarg = None } in
+              let prev = ref (-1, -1, Value.Null) in
+              Array.iteri
+                (fun pos (_, i) ->
+                  let lo, hi = bounds pos in
+                  let v =
+                    match !prev with
+                    | plo, phi, v when plo = lo && phi = hi -> v
+                    | _ ->
+                        let v =
+                          finalize_agg def
+                            (List.init (max 0 (hi - lo + 1)) (fun k -> args.(lo + k)))
+                        in
+                        prev := (lo, hi, v);
+                        v
+                  in
+                  out.(i).(wi) <- v)
+                arr)
         !order)
     windows;
   (* append window columns in original row order *)

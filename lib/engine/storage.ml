@@ -16,13 +16,16 @@ type row = Value.t array
 
 (* One immutable table version. [newest] holds the rows newest first, so an
    INSERT conses its rows on without copying the table; [ordered] caches
-   them in insertion order, built on the version's first scan. Two domains
-   building it at once both build the same array, and either may win. *)
+   them in insertion order, built on the version's first scan. [distinct]
+   caches per-column distinct counts the same way, one column at a time
+   (-1 = not counted yet). Two domains building either cache at once build
+   the same value, and either may win. *)
 type version = {
   newest : row list;
   count : int;
   width : int;  (** width of every row; -1 when rows disagree; 0 when empty *)
   ordered : row array option Atomic.t;
+  distinct : int array Atomic.t;
 }
 
 type table = {
@@ -48,7 +51,7 @@ let rec update cell f =
   if not (Atomic.compare_and_set cell before (f before)) then update cell f
 
 let make_version ?ordered newest count width =
-  { newest; count; width; ordered = Atomic.make ordered }
+  { newest; count; width; ordered = Atomic.make ordered; distinct = Atomic.make [||] }
 
 let empty_version () = make_version ~ordered:[||] [] 0 0
 
@@ -156,6 +159,36 @@ let replace_rows t name (rows : row array) =
   Atomic.set d.current (make_version ~ordered:rows newest (Array.length rows) width)
 
 let row_count t name = (Atomic.get (get t name).current).count
+
+module Value_set = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal_group
+  let hash = Value.hash
+end)
+
+(** Exact number of distinct non-NULL values in column [col], counted on the
+    first request for that column of the current version and kept with it,
+    so a table read by many statements is counted once per version. *)
+let distinct_count t name col =
+  let v = Atomic.get (get t name).current in
+  let cached = Atomic.get v.distinct in
+  if col < Array.length cached && cached.(col) >= 0 then cached.(col)
+  else begin
+    let seen = Value_set.create 64 in
+    List.iter
+      (fun (r : row) ->
+        if col < Array.length r && not (Value.is_null r.(col)) then
+          Value_set.replace seen r.(col) ())
+      v.newest;
+    let n = Value_set.length seen in
+    update v.distinct (fun a ->
+        let a' = Array.make (max (Array.length a) (col + 1)) (-1) in
+        Array.blit a 0 a' 0 (Array.length a);
+        a'.(col) <- n;
+        a');
+    n
+  end
 
 (* --- transactions --------------------------------------------------- *)
 

@@ -37,7 +37,15 @@ val insert : t -> string -> row list -> int
     not be mutated afterwards. *)
 val replace_rows : t -> string -> row array -> unit
 
+(** Row count of the current version; O(1). *)
 val row_count : t -> string -> int
+
+(** Exact number of distinct non-NULL values in column [col] (0-based) of
+    the current version. Counted by one pass over the rows on the first
+    request for that column and version, then cached on the version, so
+    it costs nothing until a table changes. The join planner reads it to
+    tell a key join from a many-to-many one. *)
+val distinct_count : t -> string -> int -> int
 
 (** Snapshot transactions over table {e contents}. DDL is not transactional
     (as in several production warehouses): tables created inside a rolled-

@@ -523,6 +523,67 @@ let test_set_table_insert_select () =
   check ib "rows stored" 10_000 (List.length batch_rows);
   check bb "same rows as the row executor" true (batch_rows = row_rows)
 
+(* Window aggregates whose frame spans the whole partition (or, for RANGE
+   frames ending at CURRENT ROW, the whole peer group) are computed once per
+   frame, not once per row: allocation grows linearly with the partition. *)
+let test_window_agg_linear () =
+  let words n =
+    let be = Backend.create () in
+    ignore (Backend.execute_sql be "CREATE TABLE W (P INTEGER, X INTEGER)");
+    ignore
+      (Storage.insert be.Backend.storage "W"
+         (List.init n (fun i -> [| Value.Int 0L; Value.Int (Int64.of_int i) |])));
+    let w0 = Gc.minor_words () in
+    let r =
+      Backend.execute_sql be
+        "SELECT SUM(W.X) OVER (PARTITION BY W.P), COUNT(*) OVER (PARTITION BY W.P \
+         ORDER BY W.P ASC) FROM W AS W"
+    in
+    let w = Gc.minor_words () -. w0 in
+    check ib "one output row per input row" n r.Backend.res_rowcount;
+    w
+  in
+  let small = words 400 and large = words 1600 in
+  if large > 6. *. small then
+    Alcotest.failf "4x the rows took %.1fx the allocation (%.0f vs %.0f words)"
+      (large /. small) large small
+
+let test_window_agg_null_values () =
+  let be = Backend.create () in
+  let run sql = Backend.execute_sql be sql in
+  ignore (run "CREATE TABLE WN (G VARCHAR(2), O INTEGER, X INTEGER)");
+  ignore
+    (run
+       "INSERT INTO WN (G, O, X) VALUES ('a',1,4),('a',1,NULL),('a',2,2),\
+        ('a',3,NULL),('b',1,NULL),('b',2,NULL)");
+  let per_row agg frame =
+    List.map
+      (fun (r : Value.t array) -> Value.to_string r.(0) ^ ":" ^ Value.to_string r.(1))
+      (run
+         (Printf.sprintf
+            "SELECT WN.G || CAST(WN.O AS VARCHAR(2)), %s OVER (PARTITION BY WN.G%s) \
+             FROM WN AS WN ORDER BY 1, 2"
+            agg frame))
+        .Backend.res_rows
+  in
+  let whole = "" and running = " ORDER BY WN.O ASC" in
+  let expect name exp agg frame =
+    check (Alcotest.list sb) name exp (per_row agg frame)
+  in
+  expect "SUM over partition" [ "a1:6"; "a1:6"; "a2:6"; "a3:6"; "b1:NULL"; "b2:NULL" ] "SUM(WN.X)" whole;
+  expect "COUNT over partition" [ "a1:2"; "a1:2"; "a2:2"; "a3:2"; "b1:0"; "b2:0" ] "COUNT(WN.X)" whole;
+  expect "COUNT(*) over partition" [ "a1:4"; "a1:4"; "a2:4"; "a3:4"; "b1:2"; "b2:2" ] "COUNT(*)" whole;
+  expect "MIN over partition" [ "a1:2"; "a1:2"; "a2:2"; "a3:2"; "b1:NULL"; "b2:NULL" ] "MIN(WN.X)" whole;
+  expect "MAX over partition" [ "a1:4"; "a1:4"; "a2:4"; "a3:4"; "b1:NULL"; "b2:NULL" ] "MAX(WN.X)" whole;
+  expect "AVG over partition" [ "a1:3"; "a1:3"; "a2:3"; "a3:3"; "b1:NULL"; "b2:NULL" ] "AVG(WN.X)" whole;
+  (* RANGE UNBOUNDED PRECEDING .. CURRENT ROW: peers (O = 1) share a value *)
+  expect "running SUM" [ "a1:4"; "a1:4"; "a2:6"; "a3:6"; "b1:NULL"; "b2:NULL" ] "SUM(WN.X)" running;
+  expect "running COUNT" [ "a1:1"; "a1:1"; "a2:2"; "a3:2"; "b1:0"; "b2:0" ] "COUNT(WN.X)" running;
+  expect "running COUNT(*)" [ "a1:2"; "a1:2"; "a2:3"; "a3:4"; "b1:1"; "b2:2" ] "COUNT(*)" running;
+  expect "running MIN" [ "a1:4"; "a1:4"; "a2:2"; "a3:2"; "b1:NULL"; "b2:NULL" ] "MIN(WN.X)" running;
+  expect "running MAX" [ "a1:4"; "a1:4"; "a2:4"; "a3:4"; "b1:NULL"; "b2:NULL" ] "MAX(WN.X)" running;
+  expect "running AVG" [ "a1:4"; "a1:4"; "a2:3"; "a3:3"; "b1:NULL"; "b2:NULL" ] "AVG(WN.X)" running
+
 let suite =
   [
     ("scan / filter / project", `Quick, test_scan_filter_project);
@@ -553,4 +614,8 @@ let suite =
         prop_group_sums_partition_total;
         prop_limit_is_prefix;
       ]
-  @ [ ("SET-table INSERT ... SELECT of 20,000 rows", `Quick, test_set_table_insert_select) ]
+  @ [
+      ("SET-table INSERT ... SELECT of 20,000 rows", `Quick, test_set_table_insert_select);
+      ("window aggregates: linear over whole partitions", `Quick, test_window_agg_linear);
+      ("window aggregates: NULL arguments", `Quick, test_window_agg_null_values);
+    ]

@@ -17,7 +17,6 @@ module Capability = Hyperq_transform.Capability
 module Transformer = Hyperq_transform.Transformer
 module Dsl = Hyperq_rules.Dsl
 module Soundness = Hyperq_rules.Soundness
-module Optimizer = Hyperq_engine.Optimizer
 module Diag = Hyperq_analyze.Diag
 module Tpch = Hyperq_workload.Tpch
 module Q = Hyperq_workload.Tpch_queries
@@ -486,31 +485,6 @@ let test_soundness_r114_rel () =
   let taut = codes_of (parse_pack "pack t version 1\nrule true_ : FILTER(?r, 1 = 1) => ?r") in
   check ib "always-true filter droppable" 0 (List.length taut)
 
-(* --- optimizer stats hooks --------------------------------------------- *)
-
-let test_optimizer_stats () =
-  let a = col 1 "A" Dtype.Int in
-  let filtered =
-    Xtra.Filter
-      {
-        input = Xtra.Distinct { input = get_t };
-        pred = Xtra.Cmp (Xtra.Gt, Xtra.Col_ref a, ci 5);
-      }
-  in
-  let st = Optimizer.stats_of filtered in
-  check ib "one col_stats per column" 2 (List.length st.Optimizer.rs_cols);
-  let sa = List.hd st.Optimizer.rs_cols in
-  check bb "A proven not-null" true sa.Optimizer.cs_not_null;
-  (match sa.Optimizer.cs_lo with
-  | Some (v, incl) ->
-      check sb "A lower bound" "5" (Value.to_sql_literal v);
-      check bb "exclusive bound" false incl
-  | None -> Alcotest.fail "expected a lower bound");
-  check bb "distinct key surfaces" true
-    (List.exists
-       (fun k -> List.sort compare (List.map (fun (c : Xtra.col) -> c.Xtra.id) k) = [ 1; 2 ])
-       st.Optimizer.rs_keys)
-
 (* --- no-op byte identity over the TPC-H corpus ------------------------- *)
 
 let test_noop_byte_identity () =
@@ -645,7 +619,6 @@ let suite =
     Alcotest.test_case "soundness: determinism R113" `Quick
       test_soundness_r113_determinism;
     Alcotest.test_case "soundness: relational R114" `Quick test_soundness_r114_rel;
-    Alcotest.test_case "optimizer stats hooks" `Quick test_optimizer_stats;
     Alcotest.test_case "no-op translation byte-identical" `Quick
       test_noop_byte_identity;
     Alcotest.test_case "differential: firing shapes" `Slow test_firing_differential;
