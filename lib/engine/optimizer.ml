@@ -469,10 +469,11 @@ and plan_region env ~ordered root =
     let env = { env with ndv = n >= 3 } in
     let leaves = Array.map (plan env ~ordered:false) leaves in
     let planned =
-      if n = 2 then plan_pair env root leaves
-      else
-        plan_greedy env leaves owner mask_of
-          (List.map2 (fun c m -> (plan_scalar env c, Option.get m)) conjs masks)
+      match root with
+      | Xtra.Join { kind; pred; _ } when n = 2 -> plan_pair env kind pred leaves.(0) leaves.(1)
+      | _ ->
+          plan_greedy env leaves owner mask_of
+            (List.map2 (fun c m -> (plan_scalar env c, Option.get m)) conjs masks)
     in
     let schema = Xtra.schema_of root in
     if ordered && ids_of_schema (Xtra.schema_of planned) <> ids_of_schema schema then
@@ -482,25 +483,21 @@ and plan_region env ~ordered root =
 
 (* Two inputs: keep the join and put the smaller input on the build (right)
    side of a hash join. *)
-and plan_pair env root leaves =
-  match root with
-  | Xtra.Join { kind; pred; _ } ->
-      let l = leaves.(0) and r = leaves.(1) in
-      let pred = Option.map (plan_scalar env) pred in
-      let lids = ids_of_schema (Xtra.schema_of l) and rids = ids_of_schema (Xtra.schema_of r) in
-      let hashable = function
-        | Xtra.Cmp (Xtra.Eq, a, b) ->
-            let a = Executor.scalar_col_ids a and b = Executor.scalar_col_ids b in
-            (subset a lids && subset b rids) || (subset a rids && subset b lids)
-        | _ -> false
-      in
-      if
-        kind = Xtra.Inner
-        && List.exists hashable (match pred with Some p -> split_conjuncts p | None -> [])
-        && estimate env l < estimate env r
-      then Xtra.Join { kind; left = r; right = l; pred }
-      else Xtra.Join { kind; left = l; right = r; pred }
-  | r -> r
+and plan_pair env kind pred l r =
+  let pred = Option.map (plan_scalar env) pred in
+  let lids = ids_of_schema (Xtra.schema_of l) and rids = ids_of_schema (Xtra.schema_of r) in
+  let hashable = function
+    | Xtra.Cmp (Xtra.Eq, a, b) ->
+        let a = Executor.scalar_col_ids a and b = Executor.scalar_col_ids b in
+        (subset a lids && subset b rids) || (subset a rids && subset b lids)
+    | _ -> false
+  in
+  if
+    kind = Xtra.Inner
+    && List.exists hashable (match pred with Some p -> split_conjuncts p | None -> [])
+    && estimate env l < estimate env r
+  then Xtra.Join { kind; left = r; right = l; pred }
+  else Xtra.Join { kind; left = l; right = r; pred }
 
 (* Three or more inputs: from each input in turn, repeatedly join the
    connected input that keeps the result smallest (a cross join only when
